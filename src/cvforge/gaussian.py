@@ -13,6 +13,7 @@ cheap for pipelines whose ops touch at most four modes.
 
 from __future__ import annotations
 
+import os
 import struct
 from typing import Hashable, Iterable, Sequence
 
@@ -415,11 +416,25 @@ def check_symplectic(op, tol: float = STRUCTURAL_TOL) -> bool:
 
 _MAGIC = b"CVCM"
 _VERSION = 1
+_HEADER = struct.Struct("<4sIQ")  # magic, version, mode count
 
 
 def write_covariance_csv(state: GaussianState, path: str) -> None:
-    """Row-major CSV at 17 significant digits (round-trips f64 exactly)."""
-    np.savetxt(path, state.cov, delimiter=",", fmt="%.17g")
+    """Row-major CSV at 17 significant digits (round-trips f64 exactly).
+
+    The bytes are those of ``np.savetxt(path, cov, delimiter=",",
+    fmt="%.17g")``, but only entries other than +0.0 are formatted: a
+    lattice covariance is almost all zeros.  -0.0, NaN and inf go
+    through the same ``%.17g`` as every other nonzero entry.
+    """
+    n = state.cov.shape[1]
+    with open(path, "w", encoding="utf-8") as fh:
+        for row in state.cov:
+            cells = ["0"] * n
+            idx = np.flatnonzero((row != 0) | np.signbit(row))
+            for j, value in zip(idx.tolist(), row[idx].tolist()):
+                cells[j] = "%.17g" % value
+            fh.write(",".join(cells) + "\n")
 
 
 def read_covariance_csv(path: str) -> np.ndarray:
@@ -433,22 +448,28 @@ def write_covariance_binary(state: GaussianState, path: str) -> None:
     """Compact dump: magic 'CVCM', version u32, mode count u64, then the
     2M x 2M covariance as little-endian f64, row-major."""
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", _VERSION))
-        fh.write(struct.pack("<Q", state.n_modes))
+        fh.write(_HEADER.pack(_MAGIC, _VERSION, state.n_modes))
         fh.write(np.ascontiguousarray(state.cov, dtype="<f8").tobytes())
 
 
 def read_covariance_binary(path: str) -> np.ndarray:
     with open(path, "rb") as fh:
-        magic = fh.read(4)
+        header = fh.read(_HEADER.size)
+        if len(header) != _HEADER.size:
+            raise ValueError(f"truncated header ({len(header)} bytes)")
+        magic, version, m = _HEADER.unpack(header)
         if magic != _MAGIC:
             raise ValueError(f"bad magic {magic!r}, expected {_MAGIC!r}")
-        (version,) = struct.unpack("<I", fh.read(4))
         if version != _VERSION:
             raise ValueError(f"unsupported version {version}")
-        (m,) = struct.unpack("<Q", fh.read(8))
-        data = np.frombuffer(fh.read(2 * m * 2 * m * 8), dtype="<f8")
+        # the mode count must match the file before anything is allocated
+        size = os.fstat(fh.fileno()).st_size
+        expected = _HEADER.size + 32 * m * m
+        if size != expected:
+            raise ValueError(
+                f"header claims {m} modes ({expected} bytes), file has {size} bytes"
+            )
+        data = np.frombuffer(fh.read(32 * m * m), dtype="<f8")
         if data.size != 4 * m * m:
             raise ValueError("truncated covariance payload")
         return data.reshape(2 * m, 2 * m).astype(float)

@@ -161,13 +161,12 @@ class HGraph:
         vacuum; they carry no graph structure and would (correctly but
         unhelpfully) spoil a self-inverse check on the full matrix.
         """
-        keep = np.nonzero(np.count_nonzero(self.matrix, axis=1))[0]
+        occupied = np.count_nonzero(self.matrix, axis=1) > 0
+        keep = np.flatnonzero(occupied)
         if keep.size == 0:
             raise GraphError("H-graph has no edges; nothing is occupied")
         drop = [
-            self.registry.labels[i]
-            for i in range(self.n_modes)
-            if i not in set(int(k) for k in keep)
+            label for label, occ in zip(self.registry.labels, occupied) if not occ
         ]
         sub = self.matrix[np.ix_(keep, keep)]
         return HGraph(sub, self.registry.without(drop))
@@ -270,23 +269,36 @@ def z_from_hgraph(hgraph: HGraph, r: float) -> ComplexGraph:
 def z_from_state(state) -> ComplexGraph:
     """Recover Z from a pure Gaussian state's covariance matrix.
 
-    With the covariance written in x-before-p block form, ``Im Z`` is the
-    inverse of twice the position block and ``Re Z`` solves the
-    position-momentum cross block against the position block.  Purity is
-    required; the reconstruction of the momentum block from the recovered
-    Z is checked as an internal consistency test (relative to the block's
-    own scale, since antisqueezed momenta grow exponentially).
+    With the covariance written in x-before-p block form, a pure state
+    has ``Im Z = (2 V_xx)^-1`` and ``Re Z = V_xx^-1 V_xp``, and the
+    covariance is pure exactly when those two are consistent with it:
+    ``Re Z`` is symmetric and ``V_pp = Im Z / 2 + Re Z V_xx Re Z``
+    (Menicucci, Flammia and van Loock, PRA 83, 042335 (2011)).  Times
+    ``V_xx``, these are the top block row of ``V Omega V = Omega / 4``:
+    ``V_xx V_xp^T - V_xp V_xx = 0`` and ``V_xx V_pp - V_xp V_xp = I/4``;
+    for one mode the second reads ``det V - 1/4 = nu^2 - 1/4``.  Both are
+    computed from V directly, without the solve's round-off, and held to
+    ``PHYSICS_TOL`` times the covariance's largest entry, the bound
+    ``GaussianState.is_pure`` puts on the symplectic spectrum.  That is
+    the purity test, so no eigensolve runs on success; the symplectic
+    spectrum is computed only to report a failure.
     """
-    if not state.is_pure():
-        nu = state.symplectic_eigenvalues()
-        raise GraphError(
-            f"state is not pure (largest symplectic eigenvalue {nu.max():.6g})"
-        )
     n = state.n_modes
     cov = state.cov
     xx = cov[:n, :n]
     xp = cov[:n, n:]
     pp = cov[n:, n:]
+    xp_xx = xp @ xx
+    asym = float(np.max(np.abs(xp_xx - xp_xx.T)))
+    resid = float(np.max(np.abs(xx @ pp - xp @ xp - np.eye(n) / 4)))
+    scale = max(1.0, float(np.max(np.abs(cov))))
+    if not (asym < PHYSICS_TOL * scale and resid < PHYSICS_TOL * scale):
+        nu = state.symplectic_eigenvalues()
+        raise GraphError(
+            f"state is not pure (largest symplectic eigenvalue {nu.max():.6g}; "
+            f"Re Z asymmetry {asym:.3e} and momentum block defect "
+            f"{resid:.3e} at scale {scale:.3e})"
+        )
     try:
         imag = np.linalg.inv(2.0 * xx)
         real = np.linalg.solve(xx, xp)
@@ -294,14 +306,6 @@ def z_from_state(state) -> ComplexGraph:
         raise GraphError(f"position block is singular: {exc}") from exc
     real = (real + real.T) / 2
     imag = (imag + imag.T) / 2
-    recon = imag / 2 + real @ xx @ real
-    scale = max(1.0, float(np.max(np.abs(pp))))
-    err = float(np.max(np.abs(recon - pp)))
-    if err > PHYSICS_TOL * scale:
-        raise GraphError(
-            f"momentum block reconstruction failed (error {err:.3e} "
-            f"at scale {scale:.3e}); covariance is inconsistent with a pure Z"
-        )
     return ComplexGraph(real + 1j * imag, state.registry)
 
 
@@ -321,8 +325,8 @@ def rotated_graph(z: ComplexGraph, mask: Iterable) -> ComplexGraph:
     b = np.where(masked, -1.0, 0.0)
     c = np.where(masked, 1.0, 0.0)
     d = np.where(masked, 0.0, 1.0)
-    numer = np.diag(c) + np.diag(d) @ z.matrix
-    denom = np.diag(a) + np.diag(b) @ z.matrix
+    numer = np.diag(c) + d[:, None] * z.matrix
+    denom = np.diag(a) + b[:, None] * z.matrix
     try:
         out = np.linalg.solve(denom.T, numer.T).T
     except np.linalg.LinAlgError as exc:
@@ -677,6 +681,17 @@ def nullifiers_3d(registry: ModeRegistry) -> NullifierSet:
 # Exports
 
 
+def _edges_above(weights, registry: ModeRegistry, threshold: float):
+    """Pairs i < j with ``|w[i, j]| > threshold``, in row-major order."""
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (registry.size, registry.size):
+        raise GraphError(
+            f"weights are {w.shape}, registry has {registry.size} modes"
+        )
+    rows, cols = np.nonzero(np.triu(np.abs(w) > threshold, 1))
+    return rows.tolist(), cols.tolist(), w[rows, cols].tolist()
+
+
 def write_edge_csv(
     weights: np.ndarray,
     registry: ModeRegistry,
@@ -688,21 +703,15 @@ def write_edge_csv(
     Returns the number of edges written.  Deterministic: row order is
     fixed by the registry, weights are printed at full precision.
     """
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (registry.size, registry.size):
-        raise GraphError(
-            f"weights are {w.shape}, registry has {registry.size} modes"
-        )
+    rows, cols, values = _edges_above(weights, registry, threshold)
     labels = registry.labels
-    count = 0
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("mode_a,mode_b,weight\n")
-        for i in range(registry.size):
-            for j in range(i + 1, registry.size):
-                if abs(w[i, j]) > threshold:
-                    fh.write(f"{labels[i]},{labels[j]},{w[i, j]:.17g}\n")
-                    count += 1
-    return count
+        fh.writelines(
+            f"{labels[i]},{labels[j]},{v:.17g}\n"
+            for i, j, v in zip(rows, cols, values)
+        )
+    return len(values)
 
 
 def write_adjacency_json(
@@ -714,17 +723,11 @@ def write_adjacency_json(
     """Write the graph as JSON: mode list plus an explicit edge list."""
     import json
 
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (registry.size, registry.size):
-        raise GraphError(
-            f"weights are {w.shape}, registry has {registry.size} modes"
-        )
+    rows, cols, values = _edges_above(weights, registry, threshold)
     labels = registry.labels
     edges = [
-        {"a": str(labels[i]), "b": str(labels[j]), "weight": w[i, j]}
-        for i in range(registry.size)
-        for j in range(i + 1, registry.size)
-        if abs(w[i, j]) > threshold
+        {"a": str(labels[i]), "b": str(labels[j]), "weight": v}
+        for i, j, v in zip(rows, cols, values)
     ]
     payload = {"modes": [str(lbl) for lbl in labels], "edges": edges}
     with open(path, "w", encoding="utf-8") as fh:

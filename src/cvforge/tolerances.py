@@ -10,7 +10,8 @@ constant            value    used for
 SYMMETRY_TOL        1e-12    covariance symmetry defect (enforced after updates)
 STRUCTURAL_TOL      1e-10    symplectic identity, graph self-inverse, permutation
                              round trips, cross-rail decoupling
-PHYSICS_TOL         1e-9     nullifier variances, purity, complex-graph recovery
+PHYSICS_TOL         1e-9     nullifier variances, purity (symplectic spectrum /
+                             Z reconstruction), complex-graph recovery
 GATE_TOL            1e-8     extracted-gate determinants and gate composition
 ==================  =======  ====================================================
 """

@@ -317,6 +317,20 @@ def test_covariance_csv_roundtrip(tmp_path):
     assert np.array_equal(back, st.cov)
 
 
+def test_covariance_csv_matches_savetxt(tmp_path):
+    rng = np.random.default_rng(3)
+    st = vacuum(simple_registry(3))
+    st.cov = rng.normal(size=(6, 6))
+    st.cov[rng.random((6, 6)) < 0.5] = 0.0
+    st.cov[0, :6] = [-0.0, 5e-324, -2.5e-310, 1e300, -1e300, np.nan]
+    st.cov[1, :3] = [np.inf, -np.inf, -np.nan]
+    new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+    write_covariance_csv(st, new)
+    np.savetxt(ref, st.cov, delimiter=",", fmt="%.17g")
+    assert new.read_bytes() == ref.read_bytes()
+    assert new.read_text().startswith("-0,4.9406564584124654e-324,")
+
+
 def test_covariance_binary_roundtrip(tmp_path):
     st = vacuum(simple_registry(3))
     st.apply(two_mode_squeeze(0, 2, 0.9))
@@ -331,6 +345,23 @@ def test_covariance_binary_rejects_corrupt_header(tmp_path):
     path = tmp_path / "bad.cvcm"
     path.write_bytes(b"NOPE" + b"\x00" * 32)
     with pytest.raises(ValueError):
+        read_covariance_binary(path)
+
+
+def test_covariance_binary_rejects_size_mismatch(tmp_path):
+    import struct
+
+    path = tmp_path / "bad.cvcm"
+    header = b"CVCM" + struct.pack("<I", 1)
+    path.write_bytes(header + struct.pack("<Q", 10**6) + b"\x00" * 84)
+    assert path.stat().st_size == 100
+    with pytest.raises(ValueError, match="claims 1000000 modes"):
+        read_covariance_binary(path)
+    path.write_bytes(header + struct.pack("<Q", 1) + b"\x00" * 40)
+    with pytest.raises(ValueError, match="file has 56 bytes"):
+        read_covariance_binary(path)
+    path.write_bytes(header + b"\x01")
+    with pytest.raises(ValueError, match="truncated header"):
         read_covariance_binary(path)
 
 

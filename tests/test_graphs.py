@@ -5,7 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from cvforge.gaussian import GaussianState, phase_rotate, two_mode_squeeze, vacuum
+from cvforge.gaussian import (
+    GaussianState,
+    beamsplitter,
+    phase_rotate,
+    two_mode_squeeze,
+    vacuum,
+)
 from cvforge.graphs import (
     ComplexGraph,
     GraphError,
@@ -27,7 +33,14 @@ from cvforge.graphs import (
     z_from_state,
 )
 from cvforge.lattice import Field, ModeId, ModeRegistry, Nopa
-from cvforge.pipeline import PipelineConfig, build_1d, build_3d, delay_permutation
+from cvforge.pipeline import (
+    PipelineConfig,
+    build,
+    build_1d,
+    build_3d,
+    delay_permutation,
+)
+from cvforge.tolerances import PHYSICS_TOL
 
 
 def matching_graph(n_pairs):
@@ -175,6 +188,107 @@ def test_z_from_state_rejects_impure_state():
     reduced = st.marginalize(["b"])
     with pytest.raises(GraphError, match="pure"):
         z_from_state(reduced)
+
+
+def random_pure_state(rng, n):
+    """Vacuum on n modes after a few random squeezers, splitters and turns."""
+    st = vacuum(ModeRegistry(list(range(n))))
+    for _ in range(4):
+        i, j = (int(k) for k in rng.choice(n, size=2, replace=False))
+        st.apply(two_mode_squeeze(i, j, float(rng.uniform(0.0, 1.0))))
+        st.apply(beamsplitter(i, j))
+        st.apply(phase_rotate(i, float(rng.uniform(0.0, 2 * math.pi))))
+    return st
+
+
+def purity_defect(state):
+    """The statistic ``is_pure`` bounds: symplectic defect over covariance scale."""
+    scale = max(1.0, float(np.max(np.abs(state.cov))))
+    return float(np.max(np.abs(state.symplectic_eigenvalues() - 0.5))) / scale
+
+
+@pytest.mark.parametrize("noise", ["identity", "random_psd"])
+def test_z_from_state_purity_agrees_with_symplectic_spectrum(noise):
+    # V + delta N on random pure states, delta from none to far above
+    # PHYSICS_TOL: wherever is_pure's own statistic is more than 3x away
+    # from the tolerance, z_from_state raises exactly when is_pure says
+    # the state is mixed
+    rng = np.random.default_rng(23)
+    checked = 0
+    for delta in (0.0, 1e-10, 1e-9, 1e-8, 1e-6):
+        for _ in range(60):
+            n = int(rng.integers(2, 5))
+            st = random_pure_state(rng, n)
+            g = rng.normal(size=(2 * n, 2 * n))
+            extra = np.eye(2 * n) if noise == "identity" else g @ g.T / (2 * n)
+            noisy = GaussianState(st.mean, st.cov + delta * extra, st.registry)
+            d = purity_defect(noisy)
+            if PHYSICS_TOL / 3 < d < 3 * PHYSICS_TOL:
+                continue
+            checked += 1
+            if noisy.is_pure():
+                z_from_state(noisy).validate()
+            else:
+                with pytest.raises(GraphError, match="pure"):
+                    z_from_state(noisy)
+    assert checked >= 200
+
+
+@pytest.mark.parametrize("x_antisqueezed", [True, False])
+def test_z_from_state_rejects_noise_on_strongly_squeezed_mode(x_antisqueezed):
+    # one mode at r = 3 with 1e-8 I of excess noise: det V - 1/4 is about
+    # 1e-8 e^6 / 2, so is_pure rejects it whichever quadrature is large
+    big, small = math.exp(6.0) / 2, math.exp(-6.0) / 2
+    diag = [big, small] if x_antisqueezed else [small, big]
+    reg = ModeRegistry(["a"])
+    pure = GaussianState(np.zeros(2), np.diag(diag), reg)
+    z_from_state(pure)
+    noisy = GaussianState(np.zeros(2), np.diag(diag) + 1e-8 * np.eye(2), reg)
+    assert not noisy.is_pure()
+    with pytest.raises(GraphError, match="pure"):
+        z_from_state(noisy)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [PipelineConfig.one_d(1, 8, 3.5), PipelineConfig.three_d(1, 8, 3.5)],
+    ids=["1d", "3d"],
+)
+def test_z_from_state_accepts_strongly_squeezed_lattice(cfg):
+    # at r = 3.5 the position block's condition number is about e^14;
+    # the purity test must not take on the round-off of solving with it
+    state, _, _ = build(cfg)
+    assert state.is_pure()
+    z_from_state(state).validate()
+
+
+def test_z_from_state_runs_no_eigensolve_on_success(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigensolve on the success path")
+
+    st = random_pure_state(np.random.default_rng(2), 4)
+    monkeypatch.setattr(GaussianState, "symplectic_eigenvalues", refuse)
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    z_from_state(st)
+
+
+def test_z_from_state_rejects_asymmetric_real_part():
+    # V_xx = I/2 and V_xp = A/2 give Re Z = A.  V_pp is built from the
+    # symmetric part S of A, so the momentum block reconstructs exactly
+    # and only the antisymmetric part K says the state is not pure.
+    reg = ModeRegistry(["a", "b"])
+    s = np.array([[0.3, 0.2], [0.2, -0.1]])
+    k = np.array([[0.0, 0.1], [-0.1, 0.0]])
+    eye = np.eye(2)
+
+    def state_with(a):
+        cov = np.block([[eye / 2, a / 2], [a.T / 2, eye / 2 + s @ s / 2]])
+        return GaussianState(np.zeros(4), cov, reg)
+
+    z = z_from_state(state_with(s))
+    assert np.allclose(z.matrix, s + 1j * eye, atol=1e-14)
+    with pytest.raises(GraphError, match="pure"):
+        z_from_state(state_with(s + k))
 
 
 def test_rotated_graph_quarter_turn_gives_cluster_form():
@@ -370,3 +484,53 @@ def test_graph_exports_are_deterministic(tmp_path):
     doc = json.loads(j1.read_text())
     assert len(doc["modes"]) == reg.size
     assert len(doc["edges"]) == n1
+
+
+def loop_write_edge_csv(w, registry, path, threshold=1e-9):
+    """Reference pairwise loop that ``write_edge_csv`` must match byte for byte."""
+    labels = registry.labels
+    count = 0
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("mode_a,mode_b,weight\n")
+        for i in range(registry.size):
+            for j in range(i + 1, registry.size):
+                if abs(w[i, j]) > threshold:
+                    fh.write(f"{labels[i]},{labels[j]},{w[i, j]:.17g}\n")
+                    count += 1
+    return count
+
+
+def loop_write_adjacency_json(w, registry, path, threshold=1e-9):
+    """Reference pairwise loop for ``write_adjacency_json``."""
+    import json
+
+    labels = registry.labels
+    edges = [
+        {"a": str(labels[i]), "b": str(labels[j]), "weight": w[i, j]}
+        for i in range(registry.size)
+        for j in range(i + 1, registry.size)
+        if abs(w[i, j]) > threshold
+    ]
+    payload = {"modes": [str(lbl) for lbl in labels], "edges": edges}
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [PipelineConfig.one_d(1, 6, 0.8), PipelineConfig.three_d(1, 4, 0.8)],
+    ids=["1d", "3d"],
+)
+def test_graph_exports_match_pairwise_loops(tmp_path, cfg):
+    state, reg, _ = build(cfg)
+    w = cluster_adjacency(z_from_state(state))
+    new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+    count = write_edge_csv(w, reg, new)
+    assert count == loop_write_edge_csv(w, reg, ref) > 0
+    assert new.read_bytes() == ref.read_bytes()
+
+    new, ref = tmp_path / "new.json", tmp_path / "ref.json"
+    write_adjacency_json(w, reg, new)
+    loop_write_adjacency_json(w, reg, ref)
+    assert new.read_bytes() == ref.read_bytes()
