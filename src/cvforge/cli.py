@@ -262,8 +262,10 @@ def cmd_mbqc(args) -> int:
     result = run_plan(state, plan, rng=rng)
     result.write_records(out / "records.jsonl")
 
-    r_probe = run.pipeline.nopas[0].r_x
-    gate = extract_gate(r_probe, plan) if len(plan) else None
+    source = run.pipeline.nopas[0]
+    gate = (
+        extract_gate(source.r_x, plan, r_p=source.r_p) if len(plan) else None
+    )
     x_mean, p_mean = result.state.mode_quadratures(result.logical)
     _write_json(
         out / "gate.json",

@@ -362,7 +362,8 @@ class GaussianState:
         """Measure x cos(theta) + p sin(theta) on one mode.
 
         Returns the conditional state (measured mode removed) and the
-        measured value; `outcome=None` samples it from the marginal.
+        measured value; `outcome=None` samples it from the marginal with
+        `rng`, which is then required so that every draw has a seed.
         """
         i = self.registry.index_of(label)
         m = self.n_modes
@@ -375,7 +376,11 @@ class GaussianState:
                 f"marginal variance {var:.3e} on {label!r} at theta={theta}")
         mu = float(c @ self.mean)
         if outcome is None:
-            rng = rng or np.random.default_rng()
+            if rng is None:
+                raise ValueError(
+                    f"sampling the homodyne outcome on {label!r} needs a "
+                    "numpy Generator: pass rng=np.random.default_rng(seed) "
+                    "or pin the outcome")
             value = float(rng.normal(mu, np.sqrt(var)))
         else:
             value = float(outcome)

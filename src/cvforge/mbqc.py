@@ -26,14 +26,13 @@ from .gaussian import GaussianState, beamsplitter, two_mode_squeeze
 from .lattice import (
     AncillaId,
     Field,
-    LatticeError,
     ModeId,
     ModeRegistry,
     Nopa,
     rail_line,
 )
 from .pipeline import PipelineConfig, build_1d
-from .tolerances import DEGENERATE_VARIANCE, GATE_TOL
+from .tolerances import STRUCTURAL_TOL, SYMMETRY_TOL
 
 INPUT = AncillaId("input")
 
@@ -419,6 +418,44 @@ def wire_pair_labels(rail: int, site: int) -> tuple[ModeId, ModeId]:
     )
 
 
+def _independent_pair(
+    state: GaussianState, site: int, signal, idler
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and 4x4 covariance of one squeezed pair, checked independent.
+
+    Returned in window order ``(x_s, x_i, p_s, p_i)``.  The pair's rows
+    must carry no covariance with any other mode, to ``STRUCTURAL_TOL``
+    relative to the pair's own scale, and its block must be symmetric to
+    ``SYMMETRY_TOL``: that independence is what lets a step see only the
+    logical mode and this pair.
+    """
+    registry = state.registry
+    for label in (signal, idler):
+        if label not in registry:
+            raise MbqcError(f"mode {label} is missing or already consumed")
+    m = state.n_modes
+    i, j = registry.index_of(signal), registry.index_of(idler)
+    rows = np.array([i, j, m + i, m + j], dtype=np.intp)
+    strip = state.cov[rows]
+    block = strip[:, rows]
+    scale = max(1.0, float(np.max(np.abs(block))))
+    strip[:, rows] = 0.0
+    cross = float(np.max(np.abs(strip)))
+    if cross > STRUCTURAL_TOL * scale:
+        raise MbqcError(
+            f"step {site}: pair {signal} / {idler} has covariance "
+            f"{cross:.3e} with other modes; run_plan needs a wire stopped "
+            "at the squeezed stage, whose pairs are independent"
+        )
+    asymmetry = float(np.max(np.abs(block - block.T)))
+    if asymmetry > SYMMETRY_TOL * scale:
+        raise MbqcError(
+            f"step {site}: covariance of pair {signal} / {idler} is "
+            f"asymmetric by {asymmetry:.3e}"
+        )
+    return state.mean[rows], block
+
+
 def run_plan(
     state: GaussianState,
     plan: MeasurementPlan,
@@ -430,10 +467,19 @@ def run_plan(
 
     ``state`` must be a wire build stopped at the ``squeezed`` stage:
     the per-step beamsplitter is exactly the lattice's own entangling
-    step, applied just before each pair is consumed.  The input mode is
-    appended as an ancilla, displaced to ``input_mean``, and teleported
-    through one pair per step; the final logical mode is the last pair's
-    idler (or the input itself for an empty plan).
+    step, applied just before each pair is consumed.  The input mode,
+    displaced to ``input_mean``, is teleported through one pair per
+    step; the final logical mode is the last pair's idler (or the input
+    itself, appended as an ancilla, for an empty plan).  ``rng`` is
+    required when a step samples an outcome.
+
+    As on time-multiplexed hardware, a step holds only three modes: the
+    logical mode and the pair it consumes, gathered from ``state`` into
+    a window on which :func:`teleport_step` runs.  Each pair must be
+    uncorrelated with every other mode (checked; :class:`MbqcError`
+    otherwise), so conditioning on its homodynes leaves the rest of the
+    lattice untouched.  The result is written back once at the end, and
+    ``state`` itself is not modified.
     """
     registry = state.registry
     if input_label in registry:
@@ -448,32 +494,49 @@ def run_plan(
             f"{n_bins} time bins"
         )
 
-    current = state.append_vacuum([input_label])
-    current.displace(input_label, *input_mean)
-    logical = input_label
+    logical = GaussianState(
+        np.array(input_mean, dtype=float),
+        np.eye(2) / 2,
+        ModeRegistry([input_label]),
+    )
+    # the pair's slots in the window (x_L, x_s, x_i, p_L, p_s, p_i)
+    pair = np.array([1, 2, 4, 5], dtype=np.intp)
     records: list[StepRecord] = []
     for site, step in enumerate(plan.steps):
         signal, idler = wire_pair_labels(plan.rail, site)
-        try:
-            current, record = teleport_step(
-                current,
-                logical,
-                signal,
-                idler,
-                step.theta_a,
-                step.theta_b,
-                outcome_a=step.outcome_a,
-                outcome_b=step.outcome_b,
-                rng=rng,
-            )
-        except LatticeError as exc:
-            raise MbqcError(
-                f"step {site} references {signal} / {idler}: {exc}"
-            ) from exc
+        pair_mean, pair_cov = _independent_pair(state, site, signal, idler)
+        window = logical.append_vacuum([signal, idler])
+        window.mean[pair] = pair_mean
+        window.cov[np.ix_(pair, pair)] = pair_cov
+        logical, record = teleport_step(
+            window,
+            logical.registry.labels[0],
+            signal,
+            idler,
+            step.theta_a,
+            step.theta_b,
+            outcome_a=step.outcome_a,
+            outcome_b=step.outcome_b,
+            rng=rng,
+        )
         records.append(record)
-        logical = idler
+
+    label = logical.registry.labels[0]
+    if records:
+        # every consumed label but the first, which is the input ancilla
+        consumed = [lbl for rec in records for lbl in rec.consumed][1:]
+        out = state.marginalize(consumed)
+    else:
+        out = state.append_vacuum([input_label])
+    # the pair checks make the logical mode independent of every other mode
+    k = out.registry.index_of(label)
+    rows = np.array([k, out.n_modes + k], dtype=np.intp)
+    out.cov[rows, :] = 0.0
+    out.cov[:, rows] = 0.0
+    out.cov[np.ix_(rows, rows)] = logical.cov
+    out.mean[rows] = logical.mean
     return PlanResult(
-        state=current, logical=logical, records=tuple(records), plan=plan
+        state=out, logical=label, records=tuple(records), plan=plan
     )
 
 
@@ -521,23 +584,23 @@ class EffectiveGate:
 
 
 def _wire_probe(
-    r: float, plan: MeasurementPlan, input_mean: tuple[float, float]
+    wire: GaussianState, plan: MeasurementPlan, input_mean: tuple[float, float]
 ) -> GaussianState:
-    n_bins = max(len(plan), 2)
-    cfg = PipelineConfig.one_d(abs(plan.rail), n_bins, r)
-    state, _, _ = build_1d(cfg, stage="squeezed")
-    result = run_plan(state, plan, input_mean=input_mean)
+    result = run_plan(wire, plan, input_mean=input_mean)
     spectators = [lbl for lbl in result.state.registry if lbl != result.logical]
     return result.state.marginalize(spectators)
 
 
-def extract_gate(r: float, plan: MeasurementPlan) -> EffectiveGate:
+def extract_gate(
+    r: float, plan: MeasurementPlan, r_p: float | None = None
+) -> EffectiveGate:
     """Probe a plan's composed action on a freshly built wire.
 
-    All outcomes are pinned to zero during probing: three mean probes
-    give the symplectic part, a vacuum run gives the noise.  Requires a
-    fully deterministic plan, since a sampled outcome would make the
-    mean differences meaningless.
+    The wire is squeezed by ``r`` in x and ``r_p`` (default ``r``) in p,
+    as :meth:`PipelineConfig.one_d` takes them.  All outcomes are pinned
+    to zero during probing: three mean probes give the symplectic part,
+    a vacuum run gives the noise.  The plan's own outcomes are ignored,
+    since a sampled outcome would make the mean differences meaningless.
     """
     pinned = MeasurementPlan(
         tuple(
@@ -547,9 +610,11 @@ def extract_gate(r: float, plan: MeasurementPlan) -> EffectiveGate:
     )
     if len(pinned) == 0:
         raise MbqcError("cannot extract a gate from an empty plan")
-    base = _wire_probe(r, pinned, (0.0, 0.0))
-    push_x = _wire_probe(r, pinned, (1.0, 0.0))
-    push_p = _wire_probe(r, pinned, (0.0, 1.0))
+    cfg = PipelineConfig.one_d(abs(pinned.rail), max(len(pinned), 2), r, r_p)
+    wire, _, _ = build_1d(cfg, stage="squeezed")
+    base = _wire_probe(wire, pinned, (0.0, 0.0))
+    push_x = _wire_probe(wire, pinned, (1.0, 0.0))
+    push_p = _wire_probe(wire, pinned, (0.0, 1.0))
     label = base.registry.labels[0]
     b0 = np.array(base.mode_quadratures(label))
     col_x = np.array(push_x.mode_quadratures(label)) - b0
@@ -568,6 +633,7 @@ def extract_gate(r: float, plan: MeasurementPlan) -> EffectiveGate:
         metadata={
             "steps": len(pinned),
             "rail": pinned.rail,
+            "r_p": cfg.nopas[0].r_p,
             "angles": [[s.theta_a, s.theta_b] for s in pinned.steps],
         },
     )

@@ -7,9 +7,12 @@ so the table below is the single source of truth.
 ==================  =======  ====================================================
 constant            value    used for
 ==================  =======  ====================================================
-SYMMETRY_TOL        1e-12    covariance symmetry defect (enforced after updates)
+SYMMETRY_TOL        1e-12    covariance symmetry defect of each pair run_plan
+                             gathers (relative to the pair's scale)
 STRUCTURAL_TOL      1e-10    symplectic identity, graph self-inverse, permutation
-                             round trips, cross-rail decoupling
+                             round trips, cross-rail decoupling (run_plan's
+                             check that each pair is independent of all other
+                             modes, relative to the pair's scale)
 PHYSICS_TOL         1e-9     nullifier variances, purity (symplectic spectrum /
                              Z reconstruction), complex-graph recovery
 GATE_TOL            1e-8     extracted-gate determinants and gate composition

@@ -3,9 +3,11 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from cvforge.cli import ConfigError, main, parse_run_config
+from cvforge.mbqc import MeasurementPlan, extract_gate
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -190,6 +192,23 @@ def test_mbqc_runs_pinned_plan(tmp_path):
     assert gate["seed"] == 7
     assert gate["logical_mode"] == "n1:i[+0]@1"
     assert gate["extracted"]["residual"] < 1.0
+
+
+def test_mbqc_gate_uses_the_configured_momentum_squeezing(tmp_path):
+    cfg = write_config(tmp_path, {"kind": "1d", "n_max": 0, "n_bins": 3,
+                                  "r": 1.2, "r_p": 0.5, "seed": 7})
+    steps = [{"theta_a": 0.3, "theta_b": -0.8, "outcome": [0.0, 0.0]},
+             {"theta_a": 1.0, "theta_b": 0.2, "outcome": [0.0, 0.0]}]
+    out = tmp_path / "out"
+    assert main(["mbqc", "--config", cfg, "--out", str(out),
+                 "--plan", write_plan(tmp_path, steps)]) == 0
+    extracted = json.loads((out / "gate.json").read_text())["extracted"]
+    assert extracted["metadata"]["r_p"] == 0.5
+    plan = MeasurementPlan.from_json(steps)
+    asymmetric = extract_gate(1.2, plan, r_p=0.5).noise
+    symmetric = extract_gate(1.2, plan).noise
+    assert np.max(np.abs(np.array(extracted["noise"]) - asymmetric)) < 1e-12
+    assert np.max(np.abs(asymmetric - symmetric)) > 0.1
 
 
 def test_mbqc_seed_override_and_determinism(tmp_path):

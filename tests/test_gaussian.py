@@ -254,6 +254,16 @@ def test_homodyne_removes_mode_and_samples_with_seed():
     assert 1 not in a1.registry
 
 
+def test_homodyne_sampling_requires_a_generator():
+    st = vacuum(simple_registry(2))
+    with pytest.raises(ValueError, match="numpy Generator"):
+        st.homodyne(1, 0.4)
+    # a pinned outcome draws nothing, so it needs no generator
+    after, value = st.homodyne(1, 0.4, outcome=0.25)
+    assert value == 0.25
+    assert after.n_modes == 1
+
+
 def test_homodyne_angle_rotates_measured_quadrature():
     st = vacuum(simple_registry(1))
     st.displace(0, 2.0, -1.0)

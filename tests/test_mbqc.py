@@ -1,7 +1,10 @@
 """Teleportation steps, measurement plans, gate extraction, macronodes."""
 
+import importlib.util
 import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +27,7 @@ from cvforge.mbqc import (
     squeeze_matrix,
     sum_diff_angles,
     teleport_gate_closed_form,
+    teleport_step,
     two_step_closed_form,
     verify_rsr_composition,
     wire_pair_labels,
@@ -266,6 +270,149 @@ def test_run_records_carry_gains_and_consumed_pair(tmp_path):
     doc = json.loads(lines[0])
     assert doc["theta_a"] == 0.3
     assert doc["logical"] == "n1:i[+0]@0"
+
+
+# --- streamed window against the dense lattice ----------------------------
+
+
+def _dense_run_plan(state, plan, input_mean=(0.0, 0.0), rng=None,
+                    input_label=INPUT):
+    """Oracle: teleport_step applied to the whole lattice, step by step."""
+    current = state.append_vacuum([input_label])
+    current.displace(input_label, *input_mean)
+    logical = input_label
+    records = []
+    for site, step in enumerate(plan.steps):
+        signal, idler = wire_pair_labels(plan.rail, site)
+        current, record = teleport_step(
+            current, logical, signal, idler, step.theta_a, step.theta_b,
+            outcome_a=step.outcome_a, outcome_b=step.outcome_b, rng=rng,
+        )
+        records.append(record)
+        logical = idler
+    return current, logical, records
+
+
+def _assert_matches_dense(result, dense_state, dense_logical, dense_records):
+    bound = 1e-12 * max(1.0, float(np.max(np.abs(dense_state.cov))))
+    assert result.state.registry == dense_state.registry
+    assert result.state.registry.labels == dense_state.registry.labels
+    assert result.logical == dense_logical
+    assert np.max(np.abs(result.state.mean - dense_state.mean)) <= bound
+    assert np.max(np.abs(result.state.cov - dense_state.cov)) <= bound
+    assert len(result.records) == len(dense_records)
+    for got, want in zip(result.records, dense_records):
+        assert (got.consumed, got.logical) == (want.consumed, want.logical)
+        assert abs(got.outcome_a - want.outcome_a) <= bound
+        assert abs(got.outcome_b - want.outcome_b) <= bound
+        assert np.max(np.abs(np.array(got.gains) - np.array(want.gains))) <= bound
+
+
+def _asymmetric_wire(r, r_p, n_bins=3):
+    """Squeezed wire with r != r_p and a displaced mean on every mode."""
+    cfg = PipelineConfig.one_d(1, n_bins, r, r_p)
+    state, _, _ = build_1d(cfg, stage="squeezed")
+    state.mean[:] = np.random.default_rng(3).normal(size=state.mean.shape)
+    return state
+
+
+_ANGLES = ((0.3, -0.8), (1.1, 0.2), (-0.4, 0.9))
+
+
+@pytest.mark.parametrize("r, r_p", [(1.3, 0.9), (8.0, 6.5)])
+@pytest.mark.parametrize("rail", [0, 1, -1])
+@pytest.mark.parametrize("sampled", [False, True])
+def test_streamed_run_matches_dense_lattice(r, r_p, rail, sampled):
+    state = _asymmetric_wire(r, r_p)
+    pins = ((0.7, -1.2), (-0.3, 0.45), (2.0, 0.1))
+    plan = MeasurementPlan(
+        tuple(
+            PlanStep(ta, tb) if sampled else PlanStep(ta, tb, *pin)
+            for (ta, tb), pin in zip(_ANGLES, pins)
+        ),
+        rail=rail,
+    )
+    mean0, cov0 = state.mean.copy(), state.cov.copy()
+    result = run_plan(state, plan, input_mean=(0.4, -0.9),
+                      rng=np.random.default_rng(5))
+    assert np.array_equal(state.mean, mean0)
+    assert np.array_equal(state.cov, cov0)
+    dense = _dense_run_plan(state, plan, input_mean=(0.4, -0.9),
+                            rng=np.random.default_rng(5))
+    _assert_matches_dense(result, *dense)
+
+
+def test_streamed_chain_on_two_rails_matches_dense_lattice():
+    state = _asymmetric_wire(2.0, 1.4, n_bins=4)
+    alice, bob = AncillaId("alice"), AncillaId("bob")
+    plan_a = MeasurementPlan(
+        (PlanStep(*identity_angles()), PlanStep(0.9, 0.9 - math.pi / 2)),
+        rail=0,
+    )
+    plan_b = MeasurementPlan(
+        (PlanStep(1.1, 0.3), PlanStep(0.2, -1.0, 0.5, -0.5),
+         PlanStep(-0.6, 0.8)),
+        rail=1,
+    )
+    rng = np.random.default_rng(42)
+    first = run_plan(state, plan_a, (1.0, 0.0), rng, alice)
+    second = run_plan(first.state, plan_b, (0.0, 1.0), rng, bob)
+    rng = np.random.default_rng(42)
+    d_state, d_logical, d_records = _dense_run_plan(
+        state, plan_a, (1.0, 0.0), rng, alice
+    )
+    _assert_matches_dense(first, d_state, d_logical, d_records)
+    _assert_matches_dense(
+        second, *_dense_run_plan(d_state, plan_b, (0.0, 1.0), rng, bob)
+    )
+    reg, m = second.state.registry, second.state.n_modes
+    ia, ib = reg.index_of(first.logical), reg.index_of(second.logical)
+    cross = second.state.cov[np.ix_([ia, m + ia], [ib, m + ib])]
+    assert np.all(cross == 0.0)
+
+
+def test_empty_streamed_plan_matches_dense_lattice():
+    state = _asymmetric_wire(1.3, 0.9)
+    result = run_plan(state, MeasurementPlan(()), input_mean=(0.7, -0.2))
+    _assert_matches_dense(
+        result, *_dense_run_plan(state, MeasurementPlan(()), (0.7, -0.2))
+    )
+
+
+def test_run_plan_rejects_entangled_wire():
+    cfg = PipelineConfig.one_d(0, 3, 1.0)
+    full, _, _ = build_1d(cfg, stage="full")
+    plan = MeasurementPlan((PlanStep(0.3, -0.8, 0.0, 0.0),))
+    with pytest.raises(MbqcError, match="squeezed stage"):
+        run_plan(full, plan)
+
+
+def test_run_plan_rejects_asymmetric_pair_covariance():
+    state, _ = _squeezed_wire()
+    signal, idler = wire_pair_labels(0, 0)
+    i, j = state.registry.index_of(signal), state.registry.index_of(idler)
+    state.cov[i, j] += 1e-9
+    plan = MeasurementPlan((PlanStep(0.3, -0.8, 0.0, 0.0),))
+    with pytest.raises(MbqcError, match="asymmetric"):
+        run_plan(state, plan)
+
+
+def test_sampled_plan_without_generator_is_rejected():
+    state, _ = _squeezed_wire()
+    with pytest.raises(ValueError, match="numpy Generator"):
+        run_plan(state, MeasurementPlan((PlanStep(0.3, -0.8),)))
+
+
+def test_two_channel_demo_keeps_logical_modes_uncorrelated(monkeypatch, capsys):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "two_channel_demo.py"
+    spec = importlib.util.spec_from_file_location("two_channel_demo", path)
+    demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demo)
+    monkeypatch.setattr(sys, "argv", [str(path), "--bins", "4"])
+    demo.main()
+    out = capsys.readouterr().out
+    line = next(l for l in out.splitlines() if "between the two logical" in l)
+    assert float(line.rsplit(":", 1)[1]) == 0.0
 
 
 # --- gate extraction ------------------------------------------------------
