@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -44,7 +43,6 @@ from .pipeline import (
     delay_permutation,
     squeezing_db,
     sweep,
-    worker_count,
 )
 from .verify import VerifyError, find_threshold, vlf_check
 
@@ -183,7 +181,10 @@ def cmd_build(args) -> int:
     out = _out_dir(args.out)
     state, registry, trace = build(run.pipeline, stage=args.stage)
     write_covariance_csv(state, out / "covariance.csv")
-    (out / "registry.json").write_text(registry.to_json() + "\n", encoding="utf-8")
+    (out / "registry.json").write_text(
+        registry.to_json(delayed="delayed" in trace.stage_counts) + "\n",
+        encoding="utf-8",
+    )
     _write_json(out / "trace.json", trace.to_json())
     hgraph = hgraph_from_trace(trace)
     edges = write_edge_csv(hgraph.matrix, registry, out / "hgraph_edges.csv")
@@ -203,8 +204,16 @@ def cmd_sweep(args) -> int:
         raise ConfigError(
             f"bad sweep range [{args.r_min}, {args.r_max}]"
         )
+    for i, source in enumerate(run.pipeline.nopas):
+        # every grid point squeezes both quadratures by the same r
+        if source.r_p != source.r_x:
+            raise ConfigError(
+                f"sweep sets r_p = r at every point, but source {i} "
+                f"(pump offset {source.pump_offset}) has r_p = {source.r_p} "
+                f"!= r = {source.r_x}; remove r_p / r_idler from the config"
+            )
     grid = np.linspace(args.r_min, args.r_max, args.steps)
-    table = sweep(run.pipeline, grid, workers=worker_count(None))
+    table = sweep(run.pipeline, grid)
     table.to_csv(out / "sweep.csv")
 
     cfg_top = run.pipeline.with_squeezing(float(grid[-1]))
@@ -257,6 +266,9 @@ def cmd_mbqc(args) -> int:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"plan {args.plan} is not valid JSON: {exc}") from exc
     seed = args.seed if args.seed is not None else run.seed
+    if seed is None:
+        # draw a seed and record it in gate.json, so the run can be repeated
+        seed = int(np.random.SeedSequence().entropy)
     rng = np.random.default_rng(seed)
     state, registry, _ = build_1d(run.pipeline, stage="squeezed")
     result = run_plan(state, plan, rng=rng)

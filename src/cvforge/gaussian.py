@@ -19,8 +19,8 @@ from typing import Hashable, Iterable, Sequence
 
 import numpy as np
 
-from .lattice import Field, LatticeError, ModeId, ModeRegistry, Nopa
-from .tolerances import DEGENERATE_VARIANCE, PHYSICS_TOL, STRUCTURAL_TOL
+from .lattice import Field, LatticeError, ModeRegistry, Nopa
+from .tolerances import DEGENERATE_VARIANCE, PHYSICS_TOL, STRUCTURAL_TOL, SYMMETRY_TOL
 
 Axis = str  # "x" or "p"
 Term = tuple[Hashable, Axis, float]
@@ -111,39 +111,10 @@ class SymplecticOp:
         omega = omega_matrix(s)
         return float(np.max(np.abs(self.block @ omega @ self.block.T - omega)))
 
-    def after(self, first: "SymplecticOp") -> "SymplecticOp":
-        """Composite op equal to `first` followed by this op."""
-        if self.is_permutation or first.is_permutation:
-            if self.is_permutation and first.is_permutation:
-                if len(self.perm) != len(first.perm):
-                    raise DimensionError("permutation length mismatch")
-                return SymplecticOp(f"{self.name}*{first.name}",
-                                    perm=self.perm[first.perm])
-            raise DimensionError(
-                "cannot compose a permutation with a block op; "
-                "compare full_matrix products instead")
-        union = sorted(set(self.support) | set(first.support))
-        pos = {m: i for i, m in enumerate(union)}
-        u = len(union)
-
-        def embed(op: SymplecticOp) -> np.ndarray:
-            mat = np.eye(2 * u)
-            idx = np.array([pos[m] for m in op.support], dtype=np.intp)
-            rows = np.concatenate([idx, u + idx])
-            mat[np.ix_(rows, rows)] = op.block
-            return mat
-
-        return SymplecticOp(f"{self.name}*{first.name}", support=union,
-                            block=embed(self) @ embed(first))
-
     def __repr__(self) -> str:
         if self.is_permutation:
             return f"SymplecticOp({self.name}, perm over {len(self.perm)} modes)"
         return f"SymplecticOp({self.name}, support={self.support})"
-
-
-def identity_op() -> SymplecticOp:
-    return SymplecticOp("identity", support=(), block=np.zeros((0, 0)))
 
 
 def two_mode_squeeze(i: int, j: int, r: float,
@@ -199,10 +170,8 @@ def delay_relabel(registry: ModeRegistry, field: Field, nopa: Nopa,
     """Advance the time-bin label of every matching mode by delta_k.
 
     The shift is cyclic over the configured bins, so the result is a
-    genuine permutation (hence exactly symplectic). Content wrapped from
-    the last bins back to the start lands on slots the op reports in
-    `params["edge_labels"]`; downstream bookkeeping flags those modes so
-    statistics never pair them with a nonexistent predecessor.
+    genuine permutation (hence exactly symplectic): content from the last
+    bins wraps around to the first ones.
     """
     if delta_k < 1:
         raise ValueError(f"delta_k must be >= 1, got {delta_k}")
@@ -211,16 +180,12 @@ def delay_relabel(registry: ModeRegistry, field: Field, nopa: Nopa,
         raise LatticeError(f"no {nopa.value}/{field.value} modes in registry")
     n_bins = 1 + max(m.time_bin for m in matching)
     dest = np.arange(len(registry), dtype=np.intp)
-    edge_labels = []
     for mode in matching:
-        shifted = mode.shifted(delta_k, n_bins)
-        dest[registry.index_of(mode)] = registry.index_of(shifted)
-        if mode.time_bin + delta_k >= n_bins:
-            edge_labels.append(shifted)
+        dest[registry.index_of(mode)] = registry.index_of(
+            mode.shifted(delta_k, n_bins))
     return SymplecticOp("delay", perm=dest,
                         params={"field": field.value, "nopa": nopa.value,
-                                "delta_k": int(delta_k),
-                                "edge_labels": tuple(edge_labels)})
+                                "delta_k": int(delta_k)})
 
 
 class GaussianState:
@@ -331,10 +296,6 @@ class GaussianState:
         c = self._coeff_vector(terms)
         return float(c @ self.cov @ c)
 
-    def mean_of(self, terms: Iterable[Term]) -> float:
-        c = self._coeff_vector(terms)
-        return float(c @ self.mean)
-
     def mode_quadratures(self, label: Hashable) -> tuple[float, float]:
         i = self.registry.index_of(label)
         return float(self.mean[i]), float(self.mean[self.n_modes + i])
@@ -394,18 +355,6 @@ class GaussianState:
         return f"GaussianState({self.n_modes} modes)"
 
 
-def vacuum(registry: ModeRegistry) -> GaussianState:
-    return GaussianState.vacuum(registry)
-
-
-def apply(state: GaussianState, op: SymplecticOp) -> GaussianState:
-    return state.apply(op)
-
-
-def quadrature_variance(state: GaussianState, terms: Iterable[Term]) -> float:
-    return state.variance(terms)
-
-
 def check_symplectic(op, tol: float = STRUCTURAL_TOL) -> bool:
     """Whether an op (or a raw 2M x 2M matrix) preserves the symplectic form."""
     if isinstance(op, SymplecticOp):
@@ -443,9 +392,17 @@ def write_covariance_csv(state: GaussianState, path: str) -> None:
 
 
 def read_covariance_csv(path: str) -> np.ndarray:
+    """Covariance written by ``write_covariance_csv``: square, even-sized,
+    finite and symmetric to ``SYMMETRY_TOL`` relative to its largest entry."""
     cov = np.loadtxt(path, delimiter=",", ndmin=2)
     if cov.shape[0] != cov.shape[1] or cov.shape[0] % 2:
         raise DimensionError(f"not a 2M x 2M covariance: shape {cov.shape}")
+    if not np.all(np.isfinite(cov)):
+        raise ValueError(f"covariance in {path} has non-finite entries")
+    asymmetry = float(np.max(np.abs(cov - cov.T)))
+    if asymmetry > SYMMETRY_TOL * max(1.0, float(np.max(np.abs(cov)))):
+        raise ValueError(
+            f"covariance in {path} is not symmetric: max |V - V^T| = {asymmetry:.3e}")
     return cov
 
 

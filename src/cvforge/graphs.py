@@ -17,12 +17,12 @@ what the cluster graph is read against.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .lattice import Field, LatticeError, ModeId, ModeRegistry, Nopa, rail_line
+from .lattice import Field, ModeId, ModeRegistry, Nopa, rail_line
 from .tolerances import PHYSICS_TOL, STRUCTURAL_TOL
 
 

@@ -117,25 +117,6 @@ def pair_partner(n: int, d: int, n_max: int | None = None) -> int:
     return partner
 
 
-def paired_signal_lines(n_max: int, d: int) -> tuple[list[tuple[int, int]], list[int]]:
-    """All (n, d - n) pairings inside the comb, plus rejected lines.
-
-    Returns one entry per signal line n (so a line pair appears twice,
-    once per orientation, except the self-paired center line at d = 0).
-    Lines whose partner falls outside the comb are reported in the
-    second list rather than dropped silently.
-    """
-    pairs: list[tuple[int, int]] = []
-    rejected: list[int] = []
-    for n in range(-n_max, n_max + 1):
-        partner = d - n
-        if abs(partner) <= n_max:
-            pairs.append((n, partner))
-        else:
-            rejected.append(n)
-    return pairs, rejected
-
-
 class ModeRegistry:
     """Immutable bijection between mode labels and dense indices 0..M-1.
 
@@ -145,18 +126,13 @@ class ModeRegistry:
     exports bit-reproducible.
     """
 
-    def __init__(self, labels: Iterable[Hashable],
-                 edge: Iterable[Hashable] = ()) -> None:
+    def __init__(self, labels: Iterable[Hashable]) -> None:
         self._labels: tuple[Hashable, ...] = tuple(labels)
         self._index: dict[Hashable, int] = {}
         for i, lab in enumerate(self._labels):
             if lab in self._index:
                 raise LatticeError(f"duplicate mode label {lab!r}")
             self._index[lab] = i
-        self._edge = frozenset(edge)
-        unknown = self._edge - set(self._labels)
-        if unknown:
-            raise LatticeError(f"edge flags on unregistered labels: {unknown}")
 
     @property
     def size(self) -> int:
@@ -181,23 +157,6 @@ class ModeRegistry:
         except KeyError:
             raise LatticeError(f"mode {label!r} not in registry") from None
 
-    def label(self, index: int) -> Hashable:
-        return self._labels[index]
-
-    def indices_of(self, labels: Iterable[Hashable]) -> list[int]:
-        return [self.index_of(lab) for lab in labels]
-
-    def is_edge(self, label: Hashable) -> bool:
-        return label in self._edge
-
-    @property
-    def edge_labels(self) -> frozenset:
-        return self._edge
-
-    def with_edge_flags(self, labels: Iterable[Hashable]) -> "ModeRegistry":
-        """Copy of this registry with the given labels flagged as edge."""
-        return ModeRegistry(self._labels, self._edge | set(labels))
-
     def without(self, labels: Iterable[Hashable]) -> "ModeRegistry":
         """Copy with the given labels removed; relative order preserved."""
         drop = set(labels)
@@ -205,11 +164,11 @@ class ModeRegistry:
         if missing:
             raise LatticeError(f"cannot remove unregistered labels: {missing}")
         kept = [lab for lab in self._labels if lab not in drop]
-        return ModeRegistry(kept, self._edge - drop)
+        return ModeRegistry(kept)
 
     def with_extra(self, labels: Sequence[Hashable]) -> "ModeRegistry":
         """Copy with new labels appended after the existing ones."""
-        return ModeRegistry(self._labels + tuple(labels), self._edge)
+        return ModeRegistry(self._labels + tuple(labels))
 
     def select(self, *, nopa: Nopa | None = None, field: Field | None = None,
                freq_index: int | None = None,
@@ -230,25 +189,32 @@ class ModeRegistry:
             out.append(lab)
         return out
 
-    def to_json(self) -> str:
+    def to_json(self, *, delayed: bool) -> str:
+        """Registry as JSON, one row per mode in index order.
+
+        A row's ``edge`` marks an idler at bin 0 of a state whose idler
+        combs have been delayed (``delayed``): its content wrapped around
+        the ring from the last bin, so it has no predecessor in time.
+        """
         rows = []
         for i, lab in enumerate(self._labels):
             d = lab.as_dict() if hasattr(lab, "as_dict") else {"label": str(lab)}
             d["index"] = i
-            d["edge"] = lab in self._edge
+            d["edge"] = (delayed and isinstance(lab, ModeId)
+                         and lab.field is Field.IDLER and lab.time_bin == 0)
             rows.append(d)
         return json.dumps({"size": len(self._labels), "modes": rows}, indent=2)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ModeRegistry):
             return NotImplemented
-        return self._labels == other._labels and self._edge == other._edge
+        return self._labels == other._labels
 
     def __hash__(self) -> int:
-        return hash((self._labels, self._edge))
+        return hash(self._labels)
 
     def __repr__(self) -> str:
-        return f"ModeRegistry(size={len(self._labels)}, edge={len(self._edge)})"
+        return f"ModeRegistry(size={len(self._labels)})"
 
 
 def enumerate_modes(cfg: LatticeConfig, nopas: Iterable[Nopa]) -> ModeRegistry:

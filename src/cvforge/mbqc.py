@@ -18,11 +18,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
-from .gaussian import GaussianState, beamsplitter, two_mode_squeeze
+from .gaussian import GaussianState, beamsplitter
 from .lattice import (
     AncillaId,
     Field,

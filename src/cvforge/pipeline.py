@@ -15,7 +15,6 @@ graph layer reads to recover which pairs were squeezed.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
@@ -32,7 +31,6 @@ from .gaussian import (
 from .lattice import (
     Field,
     LatticeConfig,
-    LatticeError,
     ModeId,
     ModeRegistry,
     Nopa,
@@ -387,16 +385,6 @@ def _delay_record(nopa: Nopa, delta_k: int = 1) -> OpRecord:
     )
 
 
-def _edge_labels(cfg: PipelineConfig, delta_k: int = 1) -> list[ModeId]:
-    """Modes whose content wrapped around the ring when the comb was delayed."""
-    labels = []
-    for nopa in cfg.nopa_names:
-        for n in cfg.lattice.freq_indices:
-            for k in range(min(delta_k, cfg.n_bins)):
-                labels.append(ModeId(nopa, Field.IDLER, n, k))
-    return labels
-
-
 def _finish_build(
     cfg: PipelineConfig,
     registry: ModeRegistry,
@@ -408,8 +396,6 @@ def _finish_build(
 ) -> tuple[GaussianState, ModeRegistry, PipelineTrace]:
     if stage not in stage_order:
         raise PipelineError(f"unknown stage {stage!r}; expected one of {stage_order}")
-    if stage_order.index(stage) >= stage_order.index("delayed"):
-        registry = registry.with_edge_flags(_edge_labels(cfg))
     trace = PipelineTrace(
         records=tuple(records[: boundaries[stage]]),
         registry=registry,
@@ -556,64 +542,25 @@ class VarianceTable:
         return [row for row in self.rows if row[0] == r]
 
 
-def _sweep_point(args) -> list[tuple[float, float, str, int, float, float]]:
-    cfg, r = args
-    from .graphs import nullifiers_1d, nullifiers_3d
-
-    state, registry, _ = build(cfg.with_squeezing(r))
-    nulls = (
-        nullifiers_1d(registry) if cfg.kind == "1d" else nullifiers_3d(registry)
-    )
-    db = squeezing_db(r)
-    # bound 1.0: below-vacuum alone is not enough, the witness threshold is unity
-    return [
-        (r, db, n.family, n.gap, n.variance(state), 1.0) for n in nulls
-    ]
-
-
-def worker_count(requested: int | None = None) -> int:
-    """Resolve how many sweep workers to use.
-
-    An explicit request wins; otherwise the CVFORGE_THREADS environment
-    variable; otherwise one.  Values below one are clamped up.
-    """
-    if requested is not None:
-        return max(1, int(requested))
-    env = os.environ.get("CVFORGE_THREADS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise PipelineError(
-                f"CVFORGE_THREADS must be an integer, got {env!r}"
-            ) from exc
-    return 1
-
-
-def sweep(
-    cfg: PipelineConfig,
-    r_values: Iterable[float],
-    workers: int | None = None,
-) -> VarianceTable:
+def sweep(cfg: PipelineConfig, r_values: Iterable[float]) -> VarianceTable:
     """Build the lattice at each squeezing value and tabulate nullifiers.
 
-    Every source is set to the symmetric squeezing r for each point.
-    Points are independent, so with more than one worker they run in a
-    process pool; row order is by r regardless.
+    Every source is set to the symmetric squeezing r for each point;
+    rows are in grid order.
     """
+    from .graphs import nullifiers_1d, nullifiers_3d
+
     points = [float(r) for r in r_values]
     for r in points:
         if r < 0:
             raise PipelineError(f"negative squeezing {r} in sweep grid")
-    n_workers = worker_count(workers)
     rows: list[tuple[float, float, str, int, float, float]] = []
-    if n_workers == 1 or len(points) <= 1:
-        for r in points:
-            rows.extend(_sweep_point((cfg, r)))
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(n_workers, len(points))) as pool:
-            for chunk in pool.map(_sweep_point, [(cfg, r) for r in points]):
-                rows.extend(chunk)
+    for r in points:
+        state, registry, _ = build(cfg.with_squeezing(r))
+        nulls = (
+            nullifiers_1d(registry) if cfg.kind == "1d" else nullifiers_3d(registry)
+        )
+        db = squeezing_db(r)
+        # bound 1.0: below-vacuum alone is not enough, the witness threshold is unity
+        rows.extend((r, db, n.family, n.gap, n.variance(state), 1.0) for n in nulls)
     return VarianceTable(tuple(rows))

@@ -10,11 +10,11 @@ starts to hold.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
 from .graphs import NullifierSet, nullifiers_1d, nullifiers_3d
+from .lattice import enumerate_modes
 from .pipeline import PipelineConfig, build, squeezing_db
 
 
@@ -173,7 +173,7 @@ def find_threshold(
         raise VerifyError(f"bad bracket [{r_lo}, {r_hi}]")
     if tol <= 0:
         raise VerifyError(f"tolerance must be positive, got {tol}")
-    _, registry, _ = build(cfg)
+    registry = enumerate_modes(cfg.lattice, cfg.nopa_names)
     nulls = nullifiers_1d(registry) if cfg.kind == "1d" else nullifiers_3d(registry)
     lo_val = _worst_variance(cfg, nulls, r_lo)
     hi_val = _worst_variance(cfg, nulls, r_hi)

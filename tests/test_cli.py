@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -164,6 +168,27 @@ def test_sweep_rejects_bad_range(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc, source", [
+    ({"kind": "1d", "n_max": 0, "n_bins": 4, "r": 1.0, "r_p": 0.5}, 0),
+    ({"kind": "3d", "n_max": 1, "n_bins": 4, "nopas": [
+        {"pump_offset": 1, "r_signal": 1.0},
+        {"pump_offset": -1, "r_signal": 1.0, "r_idler": 0.4}]}, 1),
+    ({"kind": "1d", "n_max": 0, "n_bins": 4, "r": 1.0, "r_p": 1.0}, None),
+])
+def test_sweep_refuses_asymmetric_squeezing(tmp_path, capsys, doc, source):
+    # the grid sets r_p = r, so a configured r_p != r would be dropped
+    out = tmp_path / "out"
+    code = main(["sweep", "--config", write_config(tmp_path, doc),
+                 "--out", str(out), "--r-min", "0.5", "--r-max", "1.0",
+                 "--steps", "2"])
+    if source is None:
+        assert code == 0
+        return
+    assert code == 1
+    assert f"source {source}" in capsys.readouterr().err
+    assert not (out / "sweep.csv").exists()
+
+
 # --- mbqc -----------------------------------------------------------------
 
 
@@ -228,6 +253,25 @@ def test_mbqc_seed_override_and_determinism(tmp_path):
     assert rec_a == rec_b
     assert rec_a != rec_c
     assert json.loads((outs[0] / "gate.json").read_text())["seed"] == 12
+
+
+def test_mbqc_records_a_drawn_seed(tmp_path):
+    # no seed in the config or on the command line: one is drawn and
+    # written to gate.json, and rerunning with it repeats the samples
+    cfg = write_config(tmp_path, {"kind": "1d", "n_max": 0, "n_bins": 4,
+                                  "r": 1.0})
+    plan = write_plan(tmp_path, [{"theta_a": 0.3, "theta_b": -0.8},
+                                 {"theta_a": 1.0, "theta_b": 0.2}])
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert main(["mbqc", "--config", cfg, "--out", str(first),
+                 "--plan", plan]) == 0
+    seed = json.loads((first / "gate.json").read_text())["seed"]
+    assert isinstance(seed, int)
+    assert main(["mbqc", "--config", cfg, "--out", str(again),
+                 "--plan", plan, "--seed", str(seed)]) == 0
+    assert (again / "records.jsonl").read_bytes() == \
+        (first / "records.jsonl").read_bytes()
+    assert json.loads((again / "gate.json").read_text())["seed"] == seed
 
 
 def test_mbqc_rejects_bilayer_config(tmp_path, capsys):
@@ -297,3 +341,17 @@ def test_unknown_config_key_exits_one(tmp_path, capsys):
     code = main(["build", "--config", cfg, "--out", str(tmp_path / "out")])
     assert code == 1
     assert "unknown configuration keys" in capsys.readouterr().err
+
+
+def test_module_entry_point_has_no_runtime_warning():
+    # the package must not import cvforge.cli, or running it with -m warns
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "cvforge.cli",
+         "--help"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "usage: cvforge" in proc.stdout

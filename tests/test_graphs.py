@@ -10,7 +10,6 @@ from cvforge.gaussian import (
     beamsplitter,
     phase_rotate,
     two_mode_squeeze,
-    vacuum,
 )
 from cvforge.graphs import (
     ComplexGraph,
@@ -183,7 +182,7 @@ def test_z_from_state_after_delay_needs_permuted_graph():
 
 
 def test_z_from_state_rejects_impure_state():
-    st = vacuum(ModeRegistry(["a", "b"]))
+    st = GaussianState.vacuum(ModeRegistry(["a", "b"]))
     st.apply(two_mode_squeeze(0, 1, 0.8))
     reduced = st.marginalize(["b"])
     with pytest.raises(GraphError, match="pure"):
@@ -192,7 +191,7 @@ def test_z_from_state_rejects_impure_state():
 
 def random_pure_state(rng, n):
     """Vacuum on n modes after a few random squeezers, splitters and turns."""
-    st = vacuum(ModeRegistry(list(range(n))))
+    st = GaussianState.vacuum(ModeRegistry(list(range(n))))
     for _ in range(4):
         i, j = (int(k) for k in rng.choice(n, size=2, replace=False))
         st.apply(two_mode_squeeze(i, j, float(rng.uniform(0.0, 1.0))))
@@ -295,7 +294,7 @@ def test_rotated_graph_quarter_turn_gives_cluster_form():
     # rotating one half of an EPR pair turns Z into sech/tanh cluster form
     r = 0.7
     reg = ModeRegistry(["a", "b"])
-    st = vacuum(reg)
+    st = GaussianState.vacuum(reg)
     st.apply(two_mode_squeeze(0, 1, r))
     z = z_from_state(st)
     rot = rotated_graph(z, ["b"])
@@ -311,7 +310,7 @@ def test_rotated_graph_matches_direct_rotation_of_state():
     # independent path: physically rotate the modes, then read Z again
     r = 0.6
     reg = ModeRegistry(["a", "b"])
-    st = vacuum(reg)
+    st = GaussianState.vacuum(reg)
     st.apply(two_mode_squeeze(0, 1, r))
     z_then_rotate = rotated_graph(z_from_state(st), ["b"])
     st.apply(phase_rotate(1, math.pi / 2))

@@ -12,7 +12,6 @@ from cvforge.lattice import (
     Nopa,
     enumerate_modes,
     pair_partner,
-    paired_signal_lines,
     rail_line,
     rail_of,
 )
@@ -80,20 +79,6 @@ def test_pair_partner_range_check():
         pair_partner(-1, 1, n_max=1)
 
 
-def test_paired_signal_lines_centered_pump_pairs_everything():
-    pairs, rejected = paired_signal_lines(2, 0)
-    assert rejected == []
-    assert len(pairs) == 5
-    assert all(a + b == 0 for a, b in pairs)
-
-
-def test_paired_signal_lines_offset_pump_rejects_edges():
-    pairs, rejected = paired_signal_lines(1, 1)
-    # lines 0 and 1 pair (0<->1); line -1 would need partner 2
-    assert sorted(rejected) == [-1]
-    assert sorted(pairs) == [(0, 1), (1, 0)]
-
-
 def test_enumerate_modes_order_and_size():
     cfg = LatticeConfig(n_max=1, n_bins=2)
     reg = enumerate_modes(cfg, [Nopa.N1])
@@ -121,7 +106,7 @@ def test_registry_lookup_and_membership():
     reg = enumerate_modes(cfg, [Nopa.N1])
     m = ModeId(Nopa.N1, Field.IDLER, 0, 2)
     assert m in reg
-    assert reg.label(reg.index_of(m)) == m
+    assert reg.labels[reg.index_of(m)] == m
     with pytest.raises(LatticeError):
         reg.index_of(ModeId(Nopa.N2, Field.IDLER, 0, 2))
 
@@ -149,29 +134,31 @@ def test_registry_without_and_with_extra():
 
 
 def test_registry_edge_flags():
-    cfg = LatticeConfig(n_max=0, n_bins=3)
-    reg = enumerate_modes(cfg, [Nopa.N1])
-    wrapped = ModeId(Nopa.N1, Field.IDLER, 0, 0)
-    flagged = reg.with_edge_flags([wrapped])
-    assert flagged.is_edge(wrapped)
-    assert not flagged.is_edge(ModeId(Nopa.N1, Field.IDLER, 0, 1))
-    assert flagged.edge_labels == frozenset([wrapped])
-    # flags do not disturb ordering
-    assert flagged.labels == reg.labels
+    import json
+
+    # registry.json's edge column: idlers at bin 0, once the delay has run
+    for nopas in ([Nopa.N1], [Nopa.N1, Nopa.N2]):
+        reg = enumerate_modes(LatticeConfig(n_max=1, n_bins=4), nopas)
+        squeezed = json.loads(reg.to_json(delayed=False))
+        assert not any(row["edge"] for row in squeezed["modes"])
+        full = json.loads(reg.to_json(delayed=True))
+        flagged = {reg.labels[row["index"]] for row in full["modes"] if row["edge"]}
+        assert flagged == {ModeId(nopa, Field.IDLER, n, 0)
+                           for nopa in nopas for n in (-1, 0, 1)}
 
 
 def test_registry_json_contains_indices_and_edges():
     import json
 
     cfg = LatticeConfig(n_max=0, n_bins=2)
-    reg = enumerate_modes(cfg, [Nopa.N1]).with_edge_flags(
-        [ModeId(Nopa.N1, Field.IDLER, 0, 0)]
-    )
-    doc = json.loads(reg.to_json())
-    assert doc["size"] == 4
+    reg = enumerate_modes(cfg, [Nopa.N1]).with_extra([AncillaId("input")])
+    doc = json.loads(reg.to_json(delayed=True))
+    assert doc["size"] == 5
     flagged = [row for row in doc["modes"] if row["edge"]]
-    assert len(flagged) == 1
+    assert flagged == [{"nopa": "n1", "field": "idler", "freq_index": 0,
+                        "time_bin": 0, "index": 2, "edge": True}]
     assert doc["modes"][0]["index"] == 0
+    assert doc["modes"][4] == {"ancilla": "input", "index": 4, "edge": False}
 
 
 def test_rail_alternates_between_partner_lines():

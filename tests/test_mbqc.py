@@ -547,4 +547,4 @@ def test_distributed_basis_components(n_max):
         for j in range(i + 1, reg.size):
             if abs(weights[i, j]) > 1e-2:
                 assert abs(abs(weights[i, j]) - half_tanh) < 1e-6
-                assert reg.label(i).field != reg.label(j).field
+                assert reg.labels[i].field != reg.labels[j].field

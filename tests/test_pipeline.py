@@ -1,10 +1,12 @@
 """Lattice builds: variances, traces, stages, sweeps."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+from cvforge.cli import main
 from cvforge.gaussian import check_symplectic
 from cvforge.graphs import nullifiers_1d, nullifiers_3d
 from cvforge.lattice import Field, ModeId, Nopa, rail_of
@@ -21,7 +23,6 @@ from cvforge.pipeline import (
     replay,
     squeezing_db,
     sweep,
-    worker_count,
 )
 
 # frozen closed-form targets, rederived inline where used
@@ -163,16 +164,27 @@ def test_bilayer_rejects_window_edges():
     assert trace.rejected_pairs["n2"] == (1,)
 
 
-def test_edge_flags_mark_wrapped_idlers():
-    cfg = PipelineConfig.one_d(1, 5, 0.5)
-    _, reg, _ = build_1d(cfg)
-    flagged = reg.edge_labels
-    assert flagged == frozenset(
-        ModeId(Nopa.N1, Field.IDLER, n, 0) for n in (-1, 0, 1)
-    )
-    # squeezed stage has no delay yet, so no edge flags
-    _, reg_sq, _ = build_1d(cfg, stage="squeezed")
-    assert reg_sq.edge_labels == frozenset()
+def test_edge_flags_mark_wrapped_idlers(tmp_path):
+    # registry.json flags the idlers at bin 0, whose content wrapped around
+    # the ring, at every stage from the delay on
+    docs = {
+        "1d": ({"kind": "1d", "n_max": 1, "n_bins": 5, "r": 0.5}, (Nopa.N1,)),
+        "3d": ({"kind": "3d", "n_max": 1, "n_bins": 4, "r": 0.5},
+               (Nopa.N1, Nopa.N2)),
+    }
+    for kind, (doc, nopas) in docs.items():
+        config = tmp_path / f"{kind}.json"
+        config.write_text(json.dumps(doc))
+        wrapped = {(nopa.value, n) for nopa in nopas for n in (-1, 0, 1)}
+        for stage in ("squeezed", "full"):
+            out = tmp_path / f"{kind}-{stage}"
+            assert main(["build", "--config", str(config), "--out", str(out),
+                         "--stage", stage]) == 0
+            modes = json.loads((out / "registry.json").read_text())["modes"]
+            flagged = {(m["nopa"], m["freq_index"]) for m in modes
+                       if m["edge"] and m["field"] == "idler" and m["time_bin"] == 0}
+            assert sum(m["edge"] for m in modes) == len(flagged)
+            assert flagged == (set() if stage == "squeezed" else wrapped)
 
 
 def test_wire_rails_are_mutually_independent():
@@ -247,24 +259,6 @@ def test_sweep_rejects_negative_r():
     cfg = PipelineConfig.one_d(0, 4, 0.5)
     with pytest.raises(PipelineError):
         sweep(cfg, [0.5, -0.1])
-
-
-def test_sweep_parallel_matches_serial():
-    cfg = PipelineConfig.one_d(1, 4, 0.5)
-    serial = sweep(cfg, [0.2, 0.6, 1.0], workers=1)
-    parallel = sweep(cfg, [0.2, 0.6, 1.0], workers=2)
-    assert serial.rows == parallel.rows
-
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.delenv("CVFORGE_THREADS", raising=False)
-    assert worker_count(None) == 1
-    assert worker_count(3) == 3
-    monkeypatch.setenv("CVFORGE_THREADS", "4")
-    assert worker_count(None) == 4
-    monkeypatch.setenv("CVFORGE_THREADS", "zero")
-    with pytest.raises(PipelineError):
-        worker_count(None)
 
 
 def test_build_dispatches_on_kind():
