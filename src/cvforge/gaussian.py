@@ -13,14 +13,12 @@ cheap for pipelines whose ops touch at most four modes.
 
 from __future__ import annotations
 
-import os
-import struct
 from typing import Hashable, Iterable, Sequence
 
 import numpy as np
 
 from .lattice import Field, LatticeError, ModeRegistry, Nopa
-from .tolerances import DEGENERATE_VARIANCE, PHYSICS_TOL, STRUCTURAL_TOL, SYMMETRY_TOL
+from .tolerances import DEGENERATE_VARIANCE, PHYSICS_TOL
 
 Axis = str  # "x" or "p"
 Term = tuple[Hashable, Axis, float]
@@ -81,35 +79,12 @@ class SymplecticOp:
     def is_permutation(self) -> bool:
         return self.perm is not None
 
-    def full_matrix(self, n_modes: int) -> np.ndarray:
-        """Dense 2M x 2M symplectic matrix (verification use only)."""
-        out = np.eye(2 * n_modes)
-        if self.is_permutation:
-            if len(self.perm) != n_modes:
-                raise DimensionError("permutation length mismatch")
-            out = np.zeros((2 * n_modes, 2 * n_modes))
-            for src, dst in enumerate(self.perm):
-                out[dst, src] = 1.0
-                out[n_modes + dst, n_modes + src] = 1.0
-            return out
-        rows = self._rows(n_modes)
-        out[np.ix_(rows, rows)] = self.block
-        return out
-
     def _rows(self, n_modes: int) -> np.ndarray:
         sup = np.asarray(self.support, dtype=np.intp)
         if sup.size and sup.max() >= n_modes:
             raise DimensionError(
                 f"support {self.support} exceeds mode count {n_modes}")
         return np.concatenate([sup, n_modes + sup])
-
-    def symplectic_defect(self) -> float:
-        """Max-abs deviation of S Omega S^T from Omega on the local space."""
-        if self.is_permutation:
-            return 0.0
-        s = len(self.support)
-        omega = omega_matrix(s)
-        return float(np.max(np.abs(self.block @ omega @ self.block.T - omega)))
 
     def __repr__(self) -> str:
         if self.is_permutation:
@@ -355,22 +330,7 @@ class GaussianState:
         return f"GaussianState({self.n_modes} modes)"
 
 
-def check_symplectic(op, tol: float = STRUCTURAL_TOL) -> bool:
-    """Whether an op (or a raw 2M x 2M matrix) preserves the symplectic form."""
-    if isinstance(op, SymplecticOp):
-        return op.symplectic_defect() <= tol
-    s = np.asarray(op, dtype=float)
-    if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] % 2:
-        raise DimensionError(f"not a 2M x 2M matrix: shape {s.shape}")
-    om = omega_matrix(s.shape[0] // 2)
-    return float(np.max(np.abs(s @ om @ s.T - om))) <= tol
-
-
 # -- covariance export ----------------------------------------------------
-
-_MAGIC = b"CVCM"
-_VERSION = 1
-_HEADER = struct.Struct("<4sIQ")  # magic, version, mode count
 
 
 def write_covariance_csv(state: GaussianState, path: str) -> None:
@@ -389,49 +349,3 @@ def write_covariance_csv(state: GaussianState, path: str) -> None:
             for j, value in zip(idx.tolist(), row[idx].tolist()):
                 cells[j] = "%.17g" % value
             fh.write(",".join(cells) + "\n")
-
-
-def read_covariance_csv(path: str) -> np.ndarray:
-    """Covariance written by ``write_covariance_csv``: square, even-sized,
-    finite and symmetric to ``SYMMETRY_TOL`` relative to its largest entry."""
-    cov = np.loadtxt(path, delimiter=",", ndmin=2)
-    if cov.shape[0] != cov.shape[1] or cov.shape[0] % 2:
-        raise DimensionError(f"not a 2M x 2M covariance: shape {cov.shape}")
-    if not np.all(np.isfinite(cov)):
-        raise ValueError(f"covariance in {path} has non-finite entries")
-    asymmetry = float(np.max(np.abs(cov - cov.T)))
-    if asymmetry > SYMMETRY_TOL * max(1.0, float(np.max(np.abs(cov)))):
-        raise ValueError(
-            f"covariance in {path} is not symmetric: max |V - V^T| = {asymmetry:.3e}")
-    return cov
-
-
-def write_covariance_binary(state: GaussianState, path: str) -> None:
-    """Compact dump: magic 'CVCM', version u32, mode count u64, then the
-    2M x 2M covariance as little-endian f64, row-major."""
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(_MAGIC, _VERSION, state.n_modes))
-        fh.write(np.ascontiguousarray(state.cov, dtype="<f8").tobytes())
-
-
-def read_covariance_binary(path: str) -> np.ndarray:
-    with open(path, "rb") as fh:
-        header = fh.read(_HEADER.size)
-        if len(header) != _HEADER.size:
-            raise ValueError(f"truncated header ({len(header)} bytes)")
-        magic, version, m = _HEADER.unpack(header)
-        if magic != _MAGIC:
-            raise ValueError(f"bad magic {magic!r}, expected {_MAGIC!r}")
-        if version != _VERSION:
-            raise ValueError(f"unsupported version {version}")
-        # the mode count must match the file before anything is allocated
-        size = os.fstat(fh.fileno()).st_size
-        expected = _HEADER.size + 32 * m * m
-        if size != expected:
-            raise ValueError(
-                f"header claims {m} modes ({expected} bytes), file has {size} bytes"
-            )
-        data = np.frombuffer(fh.read(32 * m * m), dtype="<f8")
-        if data.size != 4 * m * m:
-            raise ValueError("truncated covariance payload")
-        return data.reshape(2 * m, 2 * m).astype(float)

@@ -16,14 +16,13 @@ what the cluster graph is read against.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .lattice import Field, ModeId, ModeRegistry, Nopa, rail_line
-from .tolerances import PHYSICS_TOL, STRUCTURAL_TOL
+from .tolerances import PHYSICS_TOL
 
 
 class GraphError(ValueError):
@@ -32,66 +31,6 @@ class GraphError(ValueError):
 
 # ---------------------------------------------------------------------------
 # H-graph
-
-
-def check_self_inverse(matrix: np.ndarray, tol: float = STRUCTURAL_TOL) -> bool:
-    """Whether ``matrix @ matrix`` is the identity within ``tol``.
-
-    An empty matrix is vacuously not self-inverse; callers that trimmed
-    away every occupied mode should treat that as a failed precondition
-    rather than a pass.
-    """
-    m = np.asarray(matrix, dtype=float)
-    if m.size == 0:
-        return False
-    defect = m @ m - np.eye(m.shape[0])
-    return float(np.max(np.abs(defect))) <= tol
-
-
-def check_bipartite(
-    matrix: np.ndarray, tol: float = STRUCTURAL_TOL
-) -> tuple[bool, np.ndarray | list[int]]:
-    """Two-color the support of ``matrix``.
-
-    Returns ``(True, colors)`` with ``colors[i]`` in {0, 1} (isolated
-    vertices get color 0), or ``(False, cycle)`` where ``cycle`` is a
-    vertex list tracing an odd cycle that obstructs the coloring.
-    """
-    m = np.asarray(matrix, dtype=float)
-    n = m.shape[0]
-    colors = np.full(n, -1, dtype=int)
-    parent = np.full(n, -1, dtype=int)
-    for start in range(n):
-        if colors[start] >= 0:
-            continue
-        colors[start] = 0
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in np.nonzero(np.abs(m[u]) > tol)[0]:
-                if colors[v] < 0:
-                    colors[v] = 1 - colors[u]
-                    parent[v] = u
-                    queue.append(int(v))
-                elif colors[v] == colors[u]:
-                    return False, _odd_cycle(parent, u, int(v))
-    return True, colors
-
-
-def _odd_cycle(parent: np.ndarray, u: int, v: int) -> list[int]:
-    # walk both endpoints up to the common ancestor of the BFS tree
-    path_u, path_v = [u], [v]
-    seen = {u: 0}
-    node = u
-    while parent[node] >= 0:
-        node = int(parent[node])
-        seen[node] = len(path_u)
-        path_u.append(node)
-    node = v
-    while node not in seen:
-        node = int(parent[node])
-        path_v.append(node)
-    return path_u[: seen[node] + 1][::-1] + path_v[:-1]
 
 
 @dataclass(frozen=True)
@@ -120,26 +59,6 @@ class HGraph:
     def n_modes(self) -> int:
         return self.registry.size
 
-    def weight(self, a, b) -> float:
-        return float(self.matrix[self.registry.index_of(a), self.registry.index_of(b)])
-
-    def edges(self, tol: float = 0.0) -> Iterator[tuple[ModeId, ModeId, float]]:
-        """Yield ``(mode_a, mode_b, weight)`` for i < j in registry order."""
-        labels = self.registry.labels
-        rows, cols = np.nonzero(np.abs(self.matrix) > tol)
-        for i, j in zip(rows, cols):
-            if i < j:
-                yield labels[i], labels[j], float(self.matrix[i, j])
-
-    def degree(self, label) -> int:
-        return int(np.count_nonzero(self.matrix[self.registry.index_of(label)]))
-
-    def is_self_inverse(self, tol: float = STRUCTURAL_TOL) -> bool:
-        return check_self_inverse(self.matrix, tol)
-
-    def two_coloring(self, tol: float = STRUCTURAL_TOL):
-        return check_bipartite(self.matrix, tol)
-
     def permuted(self, perm: np.ndarray) -> "HGraph":
         """Graph after moving mode contents, ``dest[i] = perm[i]``.
 
@@ -153,23 +72,6 @@ class HGraph:
         out = np.zeros_like(self.matrix)
         out[np.ix_(perm, perm)] = self.matrix
         return HGraph(out, self.registry)
-
-    def occupied_subgraph(self) -> "HGraph":
-        """Restrict to modes with at least one incident edge.
-
-        Spectator lines that never met the pump stay in the registry as
-        vacuum; they carry no graph structure and would (correctly but
-        unhelpfully) spoil a self-inverse check on the full matrix.
-        """
-        occupied = np.count_nonzero(self.matrix, axis=1) > 0
-        keep = np.flatnonzero(occupied)
-        if keep.size == 0:
-            raise GraphError("H-graph has no edges; nothing is occupied")
-        drop = [
-            label for label, occ in zip(self.registry.labels, occupied) if not occ
-        ]
-        sub = self.matrix[np.ix_(keep, keep)]
-        return HGraph(sub, self.registry.without(drop))
 
 
 def hgraph_from_trace(trace) -> HGraph:
@@ -204,8 +106,7 @@ class ComplexGraph:
     """Symmetric complex matrix Z encoding a pure Gaussian state.
 
     The state is the Gaussian wavefunction proportional to
-    ``exp(i/2 x^T Z x)``; physicality requires Im Z positive definite,
-    which :meth:`validate` checks.
+    ``exp(i/2 x^T Z x)``; physicality requires Im Z positive definite.
     """
 
     matrix: np.ndarray
@@ -219,51 +120,8 @@ class ComplexGraph:
             )
         object.__setattr__(self, "matrix", m)
 
-    @property
-    def n_modes(self) -> int:
-        return self.registry.size
-
-    def validate(self, tol: float = PHYSICS_TOL) -> None:
-        asym = float(np.max(np.abs(self.matrix - self.matrix.T), initial=0.0))
-        if asym > tol:
-            raise GraphError(f"Z is not symmetric (max asymmetry {asym:.3e})")
-        eigs = np.linalg.eigvalsh((self.matrix.imag + self.matrix.imag.T) / 2)
-        if eigs.min() <= tol:
-            raise GraphError(
-                f"Im Z must be positive definite (min eigenvalue {eigs.min():.3e})"
-            )
-
     def real_part(self) -> np.ndarray:
         return self.matrix.real.copy()
-
-    def imag_part(self) -> np.ndarray:
-        return self.matrix.imag.copy()
-
-
-def z_from_hgraph(hgraph: HGraph, r: float) -> ComplexGraph:
-    """Closed-form Z of the squeezing layer acting on vacuum.
-
-    The layer exponentiates the adjacency: ``Z = i exp(-2 r G)``, which
-    for a self-inverse G collapses to ``i (cosh 2r I - sinh 2r G)``.
-    Purely imaginary, as it must be before any of the modes are rotated.
-    The two structural preconditions are checked and reported separately
-    so a failure says which one broke.
-    """
-    if r < 0:
-        raise ValueError(f"squeezing parameter must be nonnegative, got {r}")
-    g = hgraph.matrix
-    if not check_self_inverse(g):
-        defect = np.abs(g @ g - np.eye(g.shape[0])) if g.size else np.zeros((1, 1))
-        raise GraphError(
-            f"H-graph is not self-inverse (max |G^2 - I| = {defect.max():.3e}); "
-            "did you mean to pass the occupied subgraph?"
-        )
-    ok, witness = check_bipartite(g)
-    if not ok:
-        raise GraphError(f"H-graph has an odd cycle through vertices {witness}")
-    n = g.shape[0]
-    z = 1j * (np.cosh(2 * r) * np.eye(n) - np.sinh(2 * r) * g)
-    return ComplexGraph(z, hgraph.registry)
 
 
 def z_from_state(state) -> ComplexGraph:
@@ -506,34 +364,6 @@ class NullifierSet:
     def __len__(self) -> int:
         return len(self.nullifiers)
 
-    def families(self) -> list[str]:
-        out: list[str] = []
-        for n in self.nullifiers:
-            if n.family not in out:
-                out.append(n.family)
-        return out
-
-    def select(
-        self,
-        family: str | None = None,
-        gap: int | None = None,
-        rail: int | None = None,
-    ) -> list[Nullifier]:
-        picked = []
-        for n in self.nullifiers:
-            if family is not None and n.family != family:
-                continue
-            if gap is not None and n.gap != gap:
-                continue
-            if rail is not None and n.rail != rail:
-                continue
-            picked.append(n)
-        return picked
-
-    def variances(self, state) -> dict[str, float]:
-        return {n.name: n.variance(state) for n in self.nullifiers}
-
-
 def _registry_extent(registry: ModeRegistry) -> tuple[int, int]:
     n_max = 0
     n_bins = 0
@@ -547,7 +377,7 @@ def _registry_extent(registry: ModeRegistry) -> tuple[int, int]:
     return n_max, n_bins
 
 
-def nullifiers_1d(registry: ModeRegistry, pump_offset: int = 0) -> NullifierSet:
+def nullifiers_1d(registry: ModeRegistry) -> NullifierSet:
     """Nullifiers of the wire lattice, one x and one p per rail per gap.
 
     Each rail alternates between a frequency line and its pump partner
@@ -566,8 +396,8 @@ def nullifiers_1d(registry: ModeRegistry, pump_offset: int = 0) -> NullifierSet:
     nullifiers: list[Nullifier] = []
     for rail in range(-n_max, n_max + 1):
         for k in range(n_bins - 1):
-            m_here = rail_line(rail, k, pump_offset)
-            m_next = rail_line(rail, k + 1, pump_offset)
+            m_here = rail_line(rail, k)
+            m_next = rail_line(rail, k + 1)
             here_s = ModeId(Nopa.N1, Field.SIGNAL, m_here, k)
             here_i = ModeId(Nopa.N1, Field.IDLER, m_here, k)
             next_s = ModeId(Nopa.N1, Field.SIGNAL, m_next, k + 1)

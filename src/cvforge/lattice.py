@@ -13,9 +13,9 @@ d*Delta couples comb line n to line d - n.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Hashable, Iterable, Iterator, Sequence
 
 
 class LatticeError(ValueError):
@@ -74,19 +74,15 @@ class AncillaId:
 
 @dataclass(frozen=True)
 class LatticeConfig:
-    """Comb geometry plus inert physical metadata.
+    """Comb geometry of a lattice.
 
-    n_max bounds the comb-line index (|n| <= n_max), n_bins counts time
-    bins, pump_offset is d in the pump frequency 2*omega_0 + d*Delta.
-    Physical constants (free spectral range, bin period, nonlinear
-    coefficient, pump parameter, lengths) ride along in `metadata` and
-    never enter the dynamics; squeezing is parameterized by r directly.
+    n_max bounds the comb-line index (|n| <= n_max) and n_bins counts
+    time bins.  Pump offsets and squeezing belong to the sources
+    (``pipeline.NopaSettings``), not to the geometry.
     """
 
     n_max: int
     n_bins: int
-    pump_offset: int = 0
-    metadata: Mapping[str, float] = dc_field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.n_max < 0:
@@ -237,16 +233,11 @@ def enumerate_modes(cfg: LatticeConfig, nopas: Iterable[Nopa]) -> ModeRegistry:
     return ModeRegistry(labels)
 
 
-def rail_line(rail: int, time_bin: int, pump_offset: int = 0) -> int:
+def rail_line(rail: int, time_bin: int) -> int:
     """Frequency line a wire rail occupies at a given time bin.
 
     A rail is named by its line at bin zero; each delay-and-interfere
-    step bounces it to the pump partner, so it alternates between the
-    starting line and ``pump_offset - rail``.
+    step bounces it to the partner under the wire's centered pump, so it
+    alternates between the starting line and ``-rail``.
     """
-    return rail if time_bin % 2 == 0 else pump_offset - rail
-
-
-def rail_of(freq_index: int, time_bin: int, pump_offset: int = 0) -> int:
-    """Which wire rail passes through a lattice site; inverse of rail_line."""
-    return freq_index if time_bin % 2 == 0 else pump_offset - freq_index
+    return rail if time_bin % 2 == 0 else -rail

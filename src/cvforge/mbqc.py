@@ -7,10 +7,10 @@ a single-mode Gaussian gate set by the two angles.  Feedforward
 displacements proportional to the measurement outcomes make the result
 outcome independent.
 
-Closed forms for the per-step gate, its rotation-squeeze-rotation
-decomposition, and the two-step composition live here alongside the
-simulation, so extracted gates can always be checked against what the
-angles promise.
+The closed-form per-step gate lives here alongside the simulation, so
+extracted gates can always be checked against what the angles promise.
+Its rotation-squeeze-rotation decomposition and the two-step composition,
+which only the tests check against, are in ``tests/oracle.py``.
 """
 
 from __future__ import annotations
@@ -45,17 +45,6 @@ class MbqcError(ValueError):
 # Closed forms
 
 
-def rotation_matrix(phi: float) -> np.ndarray:
-    """Phase-space rotation by phi, acting on (x, p)."""
-    c, s = math.cos(phi), math.sin(phi)
-    return np.array([[c, -s], [s, c]])
-
-
-def squeeze_matrix(s: float) -> np.ndarray:
-    """Squeeze x by e^-s and stretch p by e^s."""
-    return np.diag([math.exp(-s), math.exp(s)])
-
-
 def identity_angles() -> tuple[float, float]:
     """Angle pair whose teleportation gate is exactly the identity."""
     return 0.0, -math.pi / 2
@@ -63,10 +52,6 @@ def identity_angles() -> tuple[float, float]:
 
 def sum_diff_angles(theta_a: float, theta_b: float) -> tuple[float, float]:
     return theta_a + theta_b, theta_a - theta_b
-
-
-def angles_from_sum_diff(theta_plus: float, theta_minus: float) -> tuple[float, float]:
-    return (theta_plus + theta_minus) / 2, (theta_plus - theta_minus) / 2
 
 
 def teleport_gate_closed_form(theta_a: float, theta_b: float) -> np.ndarray:
@@ -88,49 +73,6 @@ def teleport_gate_closed_form(theta_a: float, theta_b: float) -> np.ndarray:
             [math.sin(tp), math.cos(tm) - math.cos(tp)],
             [math.cos(tm) + math.cos(tp), math.sin(tp)],
         ]
-    )
-
-
-def gate_as_rotation_squeeze_rotation(
-    theta_a: float, theta_b: float
-) -> tuple[float, float, float]:
-    """Decompose the ideal gate as R(phi1) S(s) R(phi2).
-
-    Returns ``(phi1, s, phi2)`` with
-    ``phi1 = -pi/2 - t+/2``, ``s = ln tan(t-/2)``, ``phi2 = -t+/2``.
-    Valid on the principal branch ``0 < t- < pi``; outside it the log of
-    a nonpositive tangent has no real value and the call is rejected.
-    """
-    tp, tm = sum_diff_angles(theta_a, theta_b)
-    tan_half = math.tan(tm / 2)
-    if tan_half <= 0:
-        raise MbqcError(
-            f"difference angle {tm} is outside (0, pi); "
-            "the rotation-squeeze-rotation form needs tan(t-/2) > 0"
-        )
-    return -math.pi / 2 - tp / 2, math.log(tan_half), -tp / 2
-
-
-def two_step_closed_form(
-    theta_plus_1: float, theta_plus_2: float, theta_minus_2: float
-) -> np.ndarray:
-    """Composed gate of two steps with the first difference angle at pi/2.
-
-    Fixing ``t-1 = pi/2`` makes the first step a pure rotation, and the
-    pair composes to
-    ``R(-pi/2 - t+2/2) S(ln tan(t-2/2)) R(-pi/2 - t+2/2 - t+1)``:
-    arbitrary rotation, squeeze, rotation from three free angles.
-    """
-    tan_half = math.tan(theta_minus_2 / 2)
-    if tan_half <= 0:
-        raise MbqcError(
-            f"second difference angle {theta_minus_2} is outside (0, pi)"
-        )
-    outer = -math.pi / 2 - theta_plus_2 / 2
-    return (
-        rotation_matrix(outer)
-        @ squeeze_matrix(math.log(tan_half))
-        @ rotation_matrix(outer - theta_plus_1)
     )
 
 
@@ -157,6 +99,15 @@ class PlanStep:
                 raise MbqcError(f"non-finite measurement angle {value}")
         # reject degenerate pairs up front rather than mid-run
         teleport_gate_closed_form(self.theta_a, self.theta_b)
+
+
+def _plan_number(value, key: str, position: int, optional: bool = False):
+    """A plan entry that must be a JSON number; ``None`` only if optional."""
+    if value is None and optional:
+        return None
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise MbqcError(f"step {position}: {key} must be a number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -189,7 +140,7 @@ class MeasurementPlan:
             raw_steps = payload.get("steps", [])
         else:
             raise MbqcError("plan must be a JSON list or object")
-        if not isinstance(rail, int):
+        if isinstance(rail, bool) or not isinstance(rail, int):
             raise MbqcError(f"rail must be an integer, got {rail!r}")
         steps = []
         allowed = {"wire_site", "theta_a", "theta_b", "outcome",
@@ -205,6 +156,10 @@ class MeasurementPlan:
             if "theta_a" not in raw or "theta_b" not in raw:
                 raise MbqcError(f"step {position} needs theta_a and theta_b")
             site = raw.get("wire_site", position)
+            if isinstance(site, bool) or not isinstance(site, int):
+                raise MbqcError(
+                    f"step {position}: wire_site must be an integer, got {site!r}"
+                )
             if site != position:
                 raise MbqcError(
                     f"step {position} names wire site {site}; steps must "
@@ -227,10 +182,10 @@ class MeasurementPlan:
                     )
             steps.append(
                 PlanStep(
-                    float(raw["theta_a"]),
-                    float(raw["theta_b"]),
-                    None if out_a is None else float(out_a),
-                    None if out_b is None else float(out_b),
+                    _plan_number(raw["theta_a"], "theta_a", position),
+                    _plan_number(raw["theta_b"], "theta_b", position),
+                    _plan_number(out_a, "outcome_a", position, optional=True),
+                    _plan_number(out_b, "outcome_b", position, optional=True),
                 )
             )
         return cls(tuple(steps), rail)
@@ -239,24 +194,6 @@ class MeasurementPlan:
     def load(cls, path) -> "MeasurementPlan":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_json(json.load(fh))
-
-    def to_json(self) -> dict:
-        return {
-            "rail": self.rail,
-            "steps": [
-                {
-                    "wire_site": i,
-                    "theta_a": s.theta_a,
-                    "theta_b": s.theta_b,
-                    "outcome": (
-                        "sample"
-                        if s.outcome_a is None and s.outcome_b is None
-                        else [s.outcome_a, s.outcome_b]
-                    ),
-                }
-                for i, s in enumerate(self.steps)
-            ],
-        }
 
     def ideal_gates(self) -> list[np.ndarray]:
         return [
@@ -566,10 +503,6 @@ class EffectiveGate:
     def det(self) -> float:
         return float(np.linalg.det(self.matrix))
 
-    @property
-    def noise_floor(self) -> float:
-        return float(np.linalg.eigvalsh(self.noise).min())
-
     def to_json(self) -> dict:
         return {
             "matrix": self.matrix.tolist(),
@@ -637,35 +570,6 @@ def extract_gate(
             "angles": [[s.theta_a, s.theta_b] for s in pinned.steps],
         },
     )
-
-
-def effective_gate(r: float, theta_a: float, theta_b: float) -> EffectiveGate:
-    """Single-step gate at squeezing r for one angle pair."""
-    plan = MeasurementPlan((PlanStep(theta_a, theta_b, 0.0, 0.0),))
-    return extract_gate(r, plan)
-
-
-def verify_rsr_composition(
-    theta_plus_1: float,
-    theta_plus_2: float,
-    theta_minus_2: float,
-    r: float,
-) -> float:
-    """Residual between a two-step run and its composed closed form.
-
-    The first step fixes its difference angle at pi/2 (a pure rotation);
-    the second supplies the squeeze.  Returns the worst entry deviation
-    between the extracted composed gate and the three-angle closed form,
-    which decays as e^-2r.
-    """
-    target = two_step_closed_form(theta_plus_1, theta_plus_2, theta_minus_2)
-    ta1, tb1 = angles_from_sum_diff(theta_plus_1, math.pi / 2)
-    ta2, tb2 = angles_from_sum_diff(theta_plus_2, theta_minus_2)
-    plan = MeasurementPlan(
-        (PlanStep(ta1, tb1, 0.0, 0.0), PlanStep(ta2, tb2, 0.0, 0.0))
-    )
-    gate = extract_gate(r, plan)
-    return float(np.max(np.abs(gate.matrix - target)))
 
 
 # ---------------------------------------------------------------------------

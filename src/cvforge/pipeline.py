@@ -538,9 +538,6 @@ class VarianceTable:
             for r, db, fam, k, var, bound in self.rows:
                 fh.write(f"{r:.17g},{db:.17g},{fam},{k},{var:.17g},{bound:.17g}\n")
 
-    def at(self, r: float) -> list[tuple[float, float, str, int, float, float]]:
-        return [row for row in self.rows if row[0] == r]
-
 
 def sweep(cfg: PipelineConfig, r_values: Iterable[float]) -> VarianceTable:
     """Build the lattice at each squeezing value and tabulate nullifiers.

@@ -2,9 +2,8 @@
 
 The lattice is certified by the van Loock-Furusawa style criterion: every
 nullifier combination must beat the unit variance bound strictly.  This
-module evaluates the full table for a built state, renders it as JSON or
-a human table, and locates the squeezing threshold where the criterion
-starts to hold.
+module evaluates the full table for a built state, renders it as JSON,
+and locates the squeezing threshold where the criterion starts to hold.
 """
 
 from __future__ import annotations
@@ -65,9 +64,6 @@ class VlfReport:
         # 0 all rows pass, 2 any row fails; 1 is reserved for hard errors
         return 0 if self.all_pass else 2
 
-    def failing(self) -> list[VlfRow]:
-        return [row for row in self.rows if not row.passed]
-
     def to_json(self) -> dict:
         return {
             "kind": self.kind,
@@ -93,25 +89,6 @@ class VlfReport:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(self.to_json(), fh, indent=2)
             fh.write("\n")
-
-    def format_table(self) -> str:
-        width = max([len(row.name) for row in self.rows] + [len("nullifier")])
-        lines = [
-            f"{'nullifier':<{width}}  {'variance':>12}  {'bound':>7}  verdict"
-        ]
-        for row in self.rows:
-            verdict = "pass" if row.passed else "FAIL"
-            lines.append(
-                f"{row.name:<{width}}  {row.variance:>12.6e}  "
-                f"{row.bound:>7.3f}  {verdict}"
-            )
-        lines.append(
-            f"{len(self.rows)} nullifiers, "
-            f"min {self.min_variance:.6e}, max {self.max_variance:.6e}: "
-            + ("ALL PASS" if self.all_pass else
-               f"{len(self.failing())} FAILING")
-        )
-        return "\n".join(lines)
 
 
 def vlf_check(state, nullifiers: NullifierSet, bound: float = 1.0) -> VlfReport:

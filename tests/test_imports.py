@@ -1,9 +1,11 @@
-"""Source hygiene: every module-level import in the library is used."""
+"""Source hygiene: every module-level import in the library, the tests and
+the scripts is used, and every tolerance is enforced by the library."""
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "cvforge"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "cvforge"
 
 
 def _imported_names(tree: ast.Module) -> dict[str, int]:
@@ -49,6 +51,21 @@ def unused_imports(path: Path) -> list[str]:
 
 def test_no_unused_module_imports():
     modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+    modules += sorted((ROOT / "tests").glob("*.py"))
+    modules += sorted((ROOT / "scripts").glob("*.py"))
     assert modules
-    unused = [entry for path in modules for entry in unused_imports(path)]
+    unused = [f"{path.parent.name}/{entry}"
+              for path in modules for entry in unused_imports(path)]
     assert unused == []
+
+
+def test_every_tolerance_is_enforced_in_the_library():
+    tree = ast.parse((SRC / "tolerances.py").read_text(encoding="utf-8"))
+    constants = [target.id for node in tree.body if isinstance(node, ast.Assign)
+                 for target in node.targets if isinstance(target, ast.Name)]
+    assert constants
+    used = set()
+    for path in SRC.glob("*.py"):
+        if path.name not in ("__init__.py", "tolerances.py"):
+            used |= _referenced_names(ast.parse(path.read_text(encoding="utf-8")))
+    assert [name for name in constants if name not in used] == []

@@ -8,12 +8,10 @@ from cvforge.lattice import (
     LatticeConfig,
     LatticeError,
     ModeId,
-    ModeRegistry,
     Nopa,
     enumerate_modes,
     pair_partner,
     rail_line,
-    rail_of,
 )
 
 
@@ -164,9 +162,3 @@ def test_registry_json_contains_indices_and_edges():
 def test_rail_alternates_between_partner_lines():
     # a rail starting on line 1 with centered pump bounces 1, -1, 1, ...
     assert [rail_line(1, k) for k in range(4)] == [1, -1, 1, -1]
-    # with pump offset the bounce reflects about the offset
-    assert [rail_line(1, k, 1) for k in range(4)] == [1, 0, 1, 0]
-    # rail_of inverts rail_line at every site
-    for rail in (-1, 0, 1):
-        for k in range(5):
-            assert rail_of(rail_line(rail, k), k) == rail

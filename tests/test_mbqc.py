@@ -9,30 +9,31 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cvforge.lattice import AncillaId, Field, LatticeConfig, ModeId, Nopa
+from cvforge.lattice import AncillaId, Field, ModeId, Nopa
 from cvforge.mbqc import (
     INPUT,
     Macronode,
     MbqcError,
     MeasurementPlan,
     PlanStep,
-    angles_from_sum_diff,
-    effective_gate,
     extract_gate,
-    gate_as_rotation_squeeze_rotation,
     identity_angles,
     macronode_map,
-    rotation_matrix,
     run_plan,
-    squeeze_matrix,
     sum_diff_angles,
     teleport_gate_closed_form,
     teleport_step,
-    two_step_closed_form,
-    verify_rsr_composition,
     wire_pair_labels,
 )
 from cvforge.pipeline import PipelineConfig, build, build_1d
+from oracle import (
+    angles_from_sum_diff,
+    plan_to_json,
+    rotation_matrix,
+    squeeze_matrix,
+    two_step_closed_form,
+    verify_rsr_composition,
+)
 
 
 # --- closed forms ---------------------------------------------------------
@@ -50,8 +51,10 @@ def test_closed_form_has_unit_determinant():
 
 
 def test_closed_form_matches_its_decomposition():
+    # R(-pi/2 - t+/2) S(ln tan(t-/2)) R(-t+/2) on the branch 0 < t- < pi
     for ta, tb in [(0.9, 0.1), (1.2, -0.3), (0.5, -1.0)]:
-        phi1, s, phi2 = gate_as_rotation_squeeze_rotation(ta, tb)
+        tp, tm = sum_diff_angles(ta, tb)
+        phi1, s, phi2 = -math.pi / 2 - tp / 2, math.log(math.tan(tm / 2)), -tp / 2
         rebuilt = (
             rotation_matrix(phi1) @ squeeze_matrix(s) @ rotation_matrix(phi2)
         )
@@ -69,12 +72,6 @@ def test_equal_angles_are_degenerate():
         teleport_gate_closed_form(0.4, 0.4)
     with pytest.raises(MbqcError):
         teleport_gate_closed_form(0.4, 0.4 - math.pi)
-
-
-def test_decomposition_needs_principal_branch():
-    # t- < 0 has no real log of tan(t-/2)
-    with pytest.raises(MbqcError):
-        gate_as_rotation_squeeze_rotation(0.1, 0.9)
 
 
 def test_two_step_closed_form_is_rotation_squeeze_rotation():
@@ -135,7 +132,7 @@ def test_plan_json_roundtrip(tmp_path):
         (PlanStep(0.1, 0.9, 1.0, 2.0), PlanStep(0.2, -0.3)), rail=1
     )
     path = tmp_path / "plan.json"
-    path.write_text(json.dumps(plan.to_json()))
+    path.write_text(json.dumps(plan_to_json(plan)))
     assert MeasurementPlan.load(path) == plan
 
 
@@ -162,6 +159,31 @@ def test_plan_parse_errors():
         )
     with pytest.raises(MbqcError):
         MeasurementPlan.from_json([["theta_a", 0.1]])
+
+
+STEP = {"theta_a": 0.1, "theta_b": 0.5}
+
+
+@pytest.mark.parametrize(
+    "payload, match",
+    [
+        ({"rail": True, "steps": []}, "rail must be an integer"),
+        ([STEP, {**STEP, "wire_site": True}], "step 1: wire_site"),
+        ([{**STEP, "theta_a": True}], "step 0: theta_a"),
+        ([{**STEP, "theta_a": "0.5"}], "step 0: theta_a"),
+        ([{**STEP, "theta_b": "abc"}], "step 0: theta_b"),
+        ([STEP, {**STEP, "outcome": ["abc", 0.0]}], "step 1: outcome_a"),
+        ([{**STEP, "outcome": [0.0, False]}], "step 0: outcome_b"),
+        ([{**STEP, "outcome_b": "1.0"}], "step 0: outcome_b"),
+    ],
+    ids=["bool-rail", "bool-site", "bool-angle", "numeric-string-angle",
+         "string-angle", "string-outcome", "bool-outcome", "string-outcome-b"],
+)
+def test_plan_rejects_entries_that_are_not_numbers(payload, match):
+    # bool is an int subclass and float() parses strings: neither may
+    # slip through as a rail, a site, an angle or an outcome
+    with pytest.raises(MbqcError, match=match):
+        MeasurementPlan.from_json(payload)
 
 
 def test_ideal_product_applies_steps_in_order():
@@ -419,7 +441,7 @@ def test_two_channel_demo_keeps_logical_modes_uncorrelated(monkeypatch, capsys):
 
 
 def test_single_step_gate_approaches_closed_form():
-    gate = effective_gate(8.0, 0.3, -0.8)
+    gate = extract_gate(8.0, MeasurementPlan((PlanStep(0.3, -0.8),)))
     assert gate.residual < 1e-4
     assert abs(gate.det - 1.0) < 1e-3
     assert np.allclose(
@@ -428,7 +450,7 @@ def test_single_step_gate_approaches_closed_form():
 
 
 def test_identity_plan_extracts_identity():
-    gate = effective_gate(8.0, *identity_angles())
+    gate = extract_gate(8.0, MeasurementPlan((PlanStep(*identity_angles()),)))
     assert np.max(np.abs(gate.matrix - np.eye(2))) < 1e-5
 
 
@@ -436,8 +458,8 @@ def test_extracted_noise_is_positive_and_decays_with_squeezing():
     norms = []
     rs = [3.0, 5.0, 7.0]
     for r in rs:
-        gate = effective_gate(r, 0.3, -0.8)
-        assert gate.noise_floor > -1e-9
+        gate = extract_gate(r, MeasurementPlan((PlanStep(0.3, -0.8),)))
+        assert np.linalg.eigvalsh(gate.noise).min() > -1e-9
         norms.append(np.max(np.abs(gate.noise)))
     slope = np.polyfit(rs, np.log(norms), 1)[0]
     assert abs(slope + 2.0) < 0.05

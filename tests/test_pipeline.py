@@ -7,14 +7,12 @@ import numpy as np
 import pytest
 
 from cvforge.cli import main
-from cvforge.gaussian import check_symplectic
 from cvforge.graphs import nullifiers_1d, nullifiers_3d
-from cvforge.lattice import Field, ModeId, Nopa, rail_of
+from cvforge.lattice import Field, ModeId, Nopa
 from cvforge.pipeline import (
     NopaSettings,
     PipelineConfig,
     PipelineError,
-    VarianceTable,
     build,
     build_1d,
     build_3d,
@@ -24,6 +22,7 @@ from cvforge.pipeline import (
     squeezing_db,
     sweep,
 )
+from oracle import check_symplectic
 
 # frozen closed-form targets, rederived inline where used
 TWO_EXP_M16 = 0.40379303598931077  # 2 exp(-1.6), wire lattice at r = 0.8
@@ -80,10 +79,9 @@ def test_wire_asymmetric_squeezing_splits_families():
     cfg = PipelineConfig.one_d(0, 4, r_x, r_p)
     state, reg, _ = build_1d(cfg)
     nulls = nullifiers_1d(reg)
-    for n in nulls.select(family="x"):
-        assert abs(n.variance(state) - 2 * math.exp(-2 * r_x)) < 1e-12
-    for n in nulls.select(family="p"):
-        assert abs(n.variance(state) - 2 * math.exp(-2 * r_p)) < 1e-12
+    for n in nulls:
+        r = r_x if n.family == "x" else r_p
+        assert abs(n.variance(state) - 2 * math.exp(-2 * r)) < 1e-12
 
 
 def test_bilayer_nullifiers_hit_closed_form():
@@ -193,7 +191,9 @@ def test_wire_rails_are_mutually_independent():
     state, reg, _ = build_1d(cfg)
     rails = {}
     for m in reg:
-        rails.setdefault(rail_of(m.freq_index, m.time_bin), []).append(
+        # the rail through a site: its line at even bins, the partner -n at odd
+        rail = m.freq_index if m.time_bin % 2 == 0 else -m.freq_index
+        rails.setdefault(rail, []).append(
             reg.index_of(m)
         )
     n = reg.size
@@ -244,7 +244,9 @@ def test_sweep_table_rows_and_csv(tmp_path):
     assert len(table.rows) == 2 * 6
     r_vals = sorted({row[0] for row in table.rows})
     assert r_vals == [0.0, 0.5]
-    for row in table.at(0.5):
+    at_half = [row for row in table.rows if row[0] == 0.5]
+    assert len(at_half) == 6
+    for row in at_half:
         assert abs(row[4] - 2 * math.exp(-1.0)) < 1e-12
         assert row[5] == 1.0
         assert math.isclose(row[1], squeezing_db(0.5), rel_tol=1e-15)

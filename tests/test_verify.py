@@ -28,7 +28,7 @@ def test_wire_passes_above_threshold():
     assert report.all_pass
     assert report.exit_code == 0
     assert abs(report.max_variance - WIRE_PASS) < 1e-12
-    assert report.failing() == []
+    assert all(row.passed for row in report.rows)
 
 
 def test_wire_fails_below_threshold():
@@ -36,7 +36,7 @@ def test_wire_fails_below_threshold():
     report = _wire_report(0.2)
     assert not report.all_pass
     assert report.exit_code == 2
-    assert len(report.failing()) == len(report.rows)
+    assert not any(row.passed for row in report.rows)
     assert abs(report.min_variance - WIRE_FAIL) < 1e-12
 
 
@@ -64,20 +64,17 @@ def test_bound_is_strict():
 
 def test_report_table_and_json(tmp_path):
     report = _wire_report(0.5)
-    table = report.format_table()
-    lines = table.splitlines()
-    assert lines[-1].endswith("ALL PASS")
-    assert f"{len(report.rows)} nullifiers" in lines[-1]
     doc = report.to_json()
     assert doc["kind"] == "1d"
     assert doc["bound"] == 1.0
-    assert len(doc["rows"]) == len(report.rows)
+    assert [row["name"] for row in doc["rows"]] == [row.name for row in report.rows]
     out = tmp_path / "vlf.json"
     report.write_json(out)
     assert json.loads(out.read_text())["all_pass"] is True
 
-    failing = _wire_report(0.2)
-    assert failing.format_table().splitlines()[-1].endswith("FAILING")
+    failing = _wire_report(0.2).to_json()
+    assert failing["all_pass"] is False
+    assert not any(row["passed"] for row in failing["rows"])
 
 
 def test_custom_bound():
