@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,7 +32,6 @@ from .graphs import (
     unit_cell_keys,
     write_adjacency_json,
     write_edge_csv,
-    z_from_state,
 )
 from .mbqc import MbqcError, MeasurementPlan, extract_gate, run_plan
 from .pipeline import (
@@ -42,9 +42,8 @@ from .pipeline import (
     build_1d,
     delay_permutation,
     squeezing_db,
-    sweep,
 )
-from .verify import VerifyError, find_threshold, vlf_check
+from .verify import VerifyError, find_threshold, sweep, vlf_check
 
 
 class ConfigError(ValueError):
@@ -91,8 +90,7 @@ def parse_run_config(payload) -> RunConfig:
     kind = _require(payload, "kind", str, "config")
     n_max = _require(payload, "n_max", int, "config")
     n_bins = _require(payload, "n_bins", int, "config")
-    metadata = payload.get("metadata", {})
-    if not isinstance(metadata, dict):
+    if not isinstance(payload.get("metadata", {}), dict):
         raise ConfigError("config: metadata must be an object")
     allow_same = payload.get("allow_same_pump", False)
     if not isinstance(allow_same, bool):
@@ -142,7 +140,6 @@ def parse_run_config(payload) -> RunConfig:
             n_bins=n_bins,
             nopas=nopas,
             allow_same_pump=allow_same,
-            metadata=metadata,
         )
     except PipelineError as exc:
         raise ConfigError(str(exc)) from exc
@@ -200,7 +197,8 @@ def cmd_sweep(args) -> int:
     out = _out_dir(args.out)
     if args.steps < 1:
         raise ConfigError(f"--steps must be at least 1, got {args.steps}")
-    if args.r_min < 0 or args.r_max < args.r_min:
+    finite = math.isfinite(args.r_min) and math.isfinite(args.r_max)
+    if not finite or args.r_min < 0 or args.r_max < args.r_min:
         raise ConfigError(
             f"bad sweep range [{args.r_min}, {args.r_max}]"
         )
@@ -213,17 +211,15 @@ def cmd_sweep(args) -> int:
                 f"!= r = {source.r_x}; remove r_p / r_idler from the config"
             )
     grid = np.linspace(args.r_min, args.r_max, args.steps)
-    table = sweep(run.pipeline, grid)
+    table, top = sweep(run.pipeline, grid)
     table.to_csv(out / "sweep.csv")
 
-    cfg_top = run.pipeline.with_squeezing(float(grid[-1]))
-    state, registry, _ = build(cfg_top)
     nulls = (
-        nullifiers_1d(registry)
+        nullifiers_1d(top.registry)
         if run.pipeline.kind == "1d"
-        else nullifiers_3d(registry)
+        else nullifiers_3d(top.registry)
     )
-    report = vlf_check(state, nulls)
+    report = vlf_check(top, nulls)
     report.write_json(out / "vlf.json")
 
     threshold_note = None
@@ -303,9 +299,8 @@ def cmd_graph(args) -> int:
     run = load_run_config(args.config)
     out = _out_dir(args.out)
     state, registry, trace = build(run.pipeline)
-    z = z_from_state(state)
     laid_out = hgraph_from_trace(trace).permuted(delay_permutation(trace))
-    weights = cluster_adjacency(z, hgraph=laid_out)
+    weights = cluster_adjacency(state, laid_out)
     write_edge_csv(weights, registry, out / "cluster_edges.csv")
     write_adjacency_json(weights, registry, out / "cluster.json")
 

@@ -1,13 +1,13 @@
 """Graph-theoretic views of the entangled state.
 
-Three layers live here:
+Two layers live here:
 
 * the H-graph: which mode pairs were two-mode squeezed, as a signed
   adjacency matrix over the mode registry;
-* the complex graph: the symmetric matrix Z with Im Z > 0 that encodes a
-  pure Gaussian state as a quadratic form on position space;
-* the cluster adjacency: the real weighted graph left after rotating a
-  chosen set of modes by a quarter turn in phase space.
+* the cluster adjacency: the real weighted graph left after rotating the
+  even-bin modes of a lattice by a quarter turn in phase space, read off
+  the inverse of the position block.  The general complex-graph route it
+  replaces lives on in ``tests/oracle.py`` as the reference.
 
 Nullifier construction for the one-dimensional wire lattice and the
 bilayer square lattice also lives here, since the nullifier patterns are
@@ -17,7 +17,7 @@ what the cluster graph is read against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -98,138 +98,69 @@ def hgraph_from_trace(trace) -> HGraph:
 
 
 # ---------------------------------------------------------------------------
-# Complex graph
+# Cluster adjacency
 
 
-@dataclass(frozen=True)
-class ComplexGraph:
-    """Symmetric complex matrix Z encoding a pure Gaussian state.
+def cluster_adjacency(state, hgraph: HGraph) -> np.ndarray:
+    """Real cluster edge weights after a quarter turn of the even-bin modes.
 
-    The state is the Gaussian wavefunction proportional to
-    ``exp(i/2 x^T Z x)``; physicality requires Im Z positive definite.
+    A pure state with no x-p correlation has the complex graph
+    ``Z = i Y`` with ``Y = (2 V_x)^-1`` (Menicucci, Flammia and van Loock,
+    PRA 83, 042335 (2011)).  Rotating the modes E at even time bins by a
+    quarter turn leaves real weights ``W_UE = -Y_UE Y_EE^-1`` between E
+    and the other modes U, and none within E or within U.
+
+    Both preconditions are read off the covariance without an
+    eigensolve: ``V_xp`` and ``V_x V_p - I/4`` must vanish to
+    ``PHYSICS_TOL`` times the covariance's largest entry; for a state
+    with ``V_xp = 0`` the second is the purity condition
+    ``V Omega V = Omega / 4``.  The mask E must also be an independent
+    set of ``hgraph``, the squeezing graph in the lattice's final
+    labels: a squeezing edge inside E would mean the quarter turn acts
+    on both ends of an interaction, which is not the intended reading.
+    An odd wire ring fails this check.
     """
-
-    matrix: np.ndarray
-    registry: ModeRegistry
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (self.registry.size, self.registry.size):
-            raise GraphError(
-                f"Z is {m.shape}, registry has {self.registry.size} modes"
-            )
-        object.__setattr__(self, "matrix", m)
-
-    def real_part(self) -> np.ndarray:
-        return self.matrix.real.copy()
-
-
-def z_from_state(state) -> ComplexGraph:
-    """Recover Z from a pure Gaussian state's covariance matrix.
-
-    With the covariance written in x-before-p block form, a pure state
-    has ``Im Z = (2 V_xx)^-1`` and ``Re Z = V_xx^-1 V_xp``, and the
-    covariance is pure exactly when those two are consistent with it:
-    ``Re Z`` is symmetric and ``V_pp = Im Z / 2 + Re Z V_xx Re Z``
-    (Menicucci, Flammia and van Loock, PRA 83, 042335 (2011)).  Times
-    ``V_xx``, these are the top block row of ``V Omega V = Omega / 4``:
-    ``V_xx V_xp^T - V_xp V_xx = 0`` and ``V_xx V_pp - V_xp V_xp = I/4``;
-    for one mode the second reads ``det V - 1/4 = nu^2 - 1/4``.  Both are
-    computed from V directly, without the solve's round-off, and held to
-    ``PHYSICS_TOL`` times the covariance's largest entry, the bound
-    ``GaussianState.is_pure`` puts on the symplectic spectrum.  That is
-    the purity test, so no eigensolve runs on success; the symplectic
-    spectrum is computed only to report a failure.
-    """
+    registry = state.registry
+    for m in registry:
+        if not isinstance(m, ModeId):
+            raise GraphError(f"registry contains non-lattice mode {m}")
     n = state.n_modes
     cov = state.cov
     xx = cov[:n, :n]
-    xp = cov[:n, n:]
-    pp = cov[n:, n:]
-    xp_xx = xp @ xx
-    asym = float(np.max(np.abs(xp_xx - xp_xx.T)))
-    resid = float(np.max(np.abs(xx @ pp - xp @ xp - np.eye(n) / 4)))
+    correlation = float(np.max(np.abs(cov[:n, n:])))
+    defect = xx @ cov[n:, n:]
+    defect.flat[:: n + 1] -= 0.25
+    resid = float(np.max(np.abs(defect)))
     scale = max(1.0, float(np.max(np.abs(cov))))
-    if not (asym < PHYSICS_TOL * scale and resid < PHYSICS_TOL * scale):
-        nu = state.symplectic_eigenvalues()
+    if not (correlation < PHYSICS_TOL * scale and resid < PHYSICS_TOL * scale):
         raise GraphError(
-            f"state is not pure (largest symplectic eigenvalue {nu.max():.6g}; "
-            f"Re Z asymmetry {asym:.3e} and momentum block defect "
+            "cluster weights need a pure state with uncorrelated x and p "
+            f"(max |V_xp| {correlation:.3e}, momentum block defect "
             f"{resid:.3e} at scale {scale:.3e})"
         )
+
+    even = np.array([m.time_bin % 2 == 0 for m in registry])
+    e, u = np.flatnonzero(even), np.flatnonzero(~even)
+    mask = [registry.labels[i] for i in e]
+    idx = [hgraph.registry.index_of(m) for m in mask]
+    inside = hgraph.matrix[np.ix_(idx, idx)]
+    if np.count_nonzero(inside):
+        a, b = np.argwhere(inside)[0]
+        raise GraphError(
+            "rotation mask is not independent in the H-graph: "
+            f"{mask[int(a)]} -- {mask[int(b)]}"
+        )
+
     try:
-        imag = np.linalg.inv(2.0 * xx)
-        real = np.linalg.solve(xx, xp)
+        y = np.linalg.inv(2.0 * xx)
+        y = (y + y.T) / 2
+        w_eu = -np.linalg.solve(y[np.ix_(e, e)], y[np.ix_(e, u)])
     except np.linalg.LinAlgError as exc:
         raise GraphError(f"position block is singular: {exc}") from exc
-    real = (real + real.T) / 2
-    imag = (imag + imag.T) / 2
-    return ComplexGraph(real + 1j * imag, state.registry)
-
-
-def rotated_graph(z: ComplexGraph, mask: Iterable) -> ComplexGraph:
-    """Quarter-turn the masked modes in phase space and transform Z.
-
-    A phase-space rotation by pi/2 on a subset of modes acts on Z as the
-    matrix Mobius map ``Z' = (C + D Z)(A + B Z)^-1`` where A, B, C, D are
-    diagonal with entries (1, 0, 0, 1) on unmasked modes and (0, -1, 1, 0)
-    on masked ones.
-    """
-    registry = z.registry
-    masked = np.zeros(registry.size, dtype=bool)
-    for label in mask:
-        masked[registry.index_of(label)] = True
-    a = np.where(masked, 0.0, 1.0)
-    b = np.where(masked, -1.0, 0.0)
-    c = np.where(masked, 1.0, 0.0)
-    d = np.where(masked, 0.0, 1.0)
-    numer = np.diag(c) + d[:, None] * z.matrix
-    denom = np.diag(a) + b[:, None] * z.matrix
-    try:
-        out = np.linalg.solve(denom.T, numer.T).T
-    except np.linalg.LinAlgError as exc:
-        raise GraphError(f"rotation map is singular for this mask: {exc}") from exc
-    out = (out + out.T) / 2
-    return ComplexGraph(out, registry)
-
-
-def even_bin_mask(registry: ModeRegistry) -> list[ModeId]:
-    """Modes at even time bins: the canonical rotation mask.
-
-    After the final beamsplitter layer the nullifier structure pairs each
-    even bin with the following odd bin; rotating the even-bin half turns
-    the pair correlations into cluster edges.
-    """
-    return [m for m in registry if isinstance(m, ModeId) and m.time_bin % 2 == 0]
-
-
-def cluster_adjacency(
-    z: ComplexGraph,
-    mask: Iterable | None = None,
-    hgraph: HGraph | None = None,
-) -> np.ndarray:
-    """Real cluster edge weights after rotating the masked modes.
-
-    ``mask`` defaults to all modes at even time bins.  When ``hgraph`` is
-    supplied, the mask is required to be an independent set of it: a
-    squeezing edge inside the mask would mean the quarter turn acts on
-    both ends of an interaction, which is not the intended reading.
-    """
-    if mask is None:
-        mask_labels = even_bin_mask(z.registry)
-    else:
-        mask_labels = list(mask)
-    if hgraph is not None:
-        idx = [hgraph.registry.index_of(m) for m in mask_labels]
-        inside = hgraph.matrix[np.ix_(idx, idx)]
-        if np.count_nonzero(inside):
-            bad = np.argwhere(inside)[0]
-            a = mask_labels[int(bad[0])]
-            b = mask_labels[int(bad[1])]
-            raise GraphError(
-                f"rotation mask is not independent in the H-graph: {a} -- {b}"
-            )
-    return rotated_graph(z, mask_labels).real_part()
+    weights = np.zeros((n, n))
+    weights[np.ix_(e, u)] = w_eu
+    weights[np.ix_(u, e)] = w_eu.T
+    return weights
 
 
 # ---------------------------------------------------------------------------

@@ -107,6 +107,8 @@ def _plan_number(value, key: str, position: int, optional: bool = False):
         return None
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise MbqcError(f"step {position}: {key} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise MbqcError(f"step {position}: {key} must be finite, got {value!r}")
     return float(value)
 
 

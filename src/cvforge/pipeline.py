@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -67,10 +67,9 @@ class NopaSettings:
     r_idler: float | None = None
 
     def __post_init__(self) -> None:
-        if self.r_signal < 0:
-            raise PipelineError(f"negative squeezing {self.r_signal}")
-        if self.r_idler is not None and self.r_idler < 0:
-            raise PipelineError(f"negative squeezing {self.r_idler}")
+        for r in (self.r_signal, self.r_idler):
+            if r is not None and not (math.isfinite(r) and r >= 0):
+                raise PipelineError(f"squeezing must be finite and nonnegative, got {r}")
 
     @property
     def r_x(self) -> float:
@@ -96,7 +95,6 @@ class PipelineConfig:
     n_bins: int
     nopas: tuple[NopaSettings, ...]
     allow_same_pump: bool = False
-    metadata: Mapping = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.kind not in ("1d", "3d"):
@@ -145,14 +143,12 @@ class PipelineConfig:
         n_bins: int,
         r: float,
         r_p: float | None = None,
-        metadata: Mapping | None = None,
     ) -> "PipelineConfig":
         return cls(
             kind="1d",
             n_max=n_max,
             n_bins=n_bins,
             nopas=(NopaSettings(0, r, r_p),),
-            metadata=dict(metadata or {}),
         )
 
     @classmethod
@@ -164,7 +160,6 @@ class PipelineConfig:
         r_p: float | None = None,
         offsets: tuple[int, int] = (1, -1),
         allow_same_pump: bool = False,
-        metadata: Mapping | None = None,
     ) -> "PipelineConfig":
         return cls(
             kind="3d",
@@ -175,7 +170,6 @@ class PipelineConfig:
                 NopaSettings(offsets[1], r, r_p),
             ),
             allow_same_pump=allow_same_pump,
-            metadata=dict(metadata or {}),
         )
 
     def with_squeezing(self, r: float) -> "PipelineConfig":
@@ -513,51 +507,3 @@ def build_3d(
 def build(cfg: PipelineConfig, stage: str = "full"):
     """Dispatch to the builder matching the configuration's kind."""
     return build_1d(cfg, stage) if cfg.kind == "1d" else build_3d(cfg, stage)
-
-
-# ---------------------------------------------------------------------------
-# Sweeps
-
-
-@dataclass(frozen=True)
-class VarianceTable:
-    """Nullifier variances across a squeezing sweep.
-
-    Rows are ``(r, db, family, k, variance, bound)`` with ``bound`` the
-    vacuum-normalized entanglement threshold the verification layer
-    tests against.
-    """
-
-    rows: tuple[tuple[float, float, str, int, float, float], ...]
-
-    CSV_HEADER = "r,db,family,k,variance,bound"
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.CSV_HEADER + "\n")
-            for r, db, fam, k, var, bound in self.rows:
-                fh.write(f"{r:.17g},{db:.17g},{fam},{k},{var:.17g},{bound:.17g}\n")
-
-
-def sweep(cfg: PipelineConfig, r_values: Iterable[float]) -> VarianceTable:
-    """Build the lattice at each squeezing value and tabulate nullifiers.
-
-    Every source is set to the symmetric squeezing r for each point;
-    rows are in grid order.
-    """
-    from .graphs import nullifiers_1d, nullifiers_3d
-
-    points = [float(r) for r in r_values]
-    for r in points:
-        if r < 0:
-            raise PipelineError(f"negative squeezing {r} in sweep grid")
-    rows: list[tuple[float, float, str, int, float, float]] = []
-    for r in points:
-        state, registry, _ = build(cfg.with_squeezing(r))
-        nulls = (
-            nullifiers_1d(registry) if cfg.kind == "1d" else nullifiers_3d(registry)
-        )
-        db = squeezing_db(r)
-        # bound 1.0: below-vacuum alone is not enough, the witness threshold is unity
-        rows.extend((r, db, n.family, n.gap, n.variance(state), 1.0) for n in nulls)
-    return VarianceTable(tuple(rows))

@@ -14,7 +14,8 @@ STRUCTURAL_TOL      1e-10    cross-rail decoupling: run_plan's check that each
                              pair is independent of all other modes, relative
                              to the pair's scale
 PHYSICS_TOL         1e-9     purity: GaussianState.is_pure's symplectic
-                             spectrum and z_from_state's block-row check, both
+                             spectrum, and cluster_adjacency's check that
+                             max|V_xp| and max|V_x V_p - I/4| vanish, both
                              relative to the covariance's largest entry
 ==================  =======  ====================================================
 """

@@ -3,15 +3,17 @@
 The lattice is certified by the van Loock-Furusawa style criterion: every
 nullifier combination must beat the unit variance bound strictly.  This
 module evaluates the full table for a built state, renders it as JSON,
-and locates the squeezing threshold where the criterion starts to hold.
+tabulates the variances across a squeezing sweep, and locates the
+squeezing threshold where the criterion starts to hold.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Iterable, Mapping
 
+from .gaussian import GaussianState
 from .graphs import NullifierSet, nullifiers_1d, nullifiers_3d
 from .lattice import enumerate_modes
 from .pipeline import PipelineConfig, build, squeezing_db
@@ -116,6 +118,64 @@ def vlf_check(state, nullifiers: NullifierSet, bound: float = 1.0) -> VlfReport:
     )
 
 
+def _lattice_nullifiers(cfg: PipelineConfig) -> NullifierSet:
+    """The nullifiers of every build of ``cfg``, whatever its squeezing."""
+    registry = enumerate_modes(cfg.lattice, cfg.nopa_names)
+    return nullifiers_1d(registry) if cfg.kind == "1d" else nullifiers_3d(registry)
+
+
+# ---------------------------------------------------------------------------
+# Sweeps
+
+
+@dataclass(frozen=True)
+class VarianceTable:
+    """Nullifier variances across a squeezing sweep.
+
+    Rows are ``(r, db, family, k, variance, bound)`` with ``bound`` the
+    vacuum-normalized entanglement threshold the verification layer
+    tests against.
+    """
+
+    rows: tuple[tuple[float, float, str, int, float, float], ...]
+
+    CSV_HEADER = "r,db,family,k,variance,bound"
+
+    def to_csv(self, path) -> None:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(self.CSV_HEADER + "\n")
+            for r, db, fam, k, var, bound in self.rows:
+                fh.write(f"{r:.17g},{db:.17g},{fam},{k},{var:.17g},{bound:.17g}\n")
+
+
+def sweep(
+    cfg: PipelineConfig, r_values: Iterable[float]
+) -> tuple[VarianceTable, GaussianState]:
+    """Build the lattice at each squeezing value and tabulate nullifiers.
+
+    Every source is set to the symmetric squeezing r for each point;
+    rows are in grid order.  Every point is validated before the first
+    build.  The state built at the last point comes back with the table,
+    so the top of the grid can be verified without building it again.
+    """
+    points = [float(r) for r in r_values]
+    if not points:
+        raise VerifyError("empty sweep grid")
+    configs = [cfg.with_squeezing(r) for r in points]
+    nulls = _lattice_nullifiers(cfg)
+    rows: list[tuple[float, float, str, int, float, float]] = []
+    for r, point in zip(points, configs):
+        state, _, _ = build(point)
+        db = squeezing_db(r)
+        # bound 1.0: below-vacuum alone is not enough, the witness threshold is unity
+        rows.extend((r, db, n.family, n.gap, n.variance(state), 1.0) for n in nulls)
+    return VarianceTable(tuple(rows)), state
+
+
+# ---------------------------------------------------------------------------
+# Threshold search
+
+
 @dataclass(frozen=True)
 class ThresholdResult:
     """Squeezing threshold where the worst nullifier crosses the bound."""
@@ -150,8 +210,7 @@ def find_threshold(
         raise VerifyError(f"bad bracket [{r_lo}, {r_hi}]")
     if tol <= 0:
         raise VerifyError(f"tolerance must be positive, got {tol}")
-    registry = enumerate_modes(cfg.lattice, cfg.nopa_names)
-    nulls = nullifiers_1d(registry) if cfg.kind == "1d" else nullifiers_3d(registry)
+    nulls = _lattice_nullifiers(cfg)
     lo_val = _worst_variance(cfg, nulls, r_lo)
     hi_val = _worst_variance(cfg, nulls, r_hi)
     evaluations = 2

@@ -7,6 +7,10 @@ closed form it promises:
 * the dense 2M x 2M matrix of a sparse op and its symplectic defect;
 * the structural checks on an H-graph (self-inverse, bipartite) and the
   closed-form complex graph of a squeezing layer, ``i exp(-2 r G)``;
+* the general complex-graph route to the cluster weights: Z of any pure
+  state (x-p correlated or not), its quarter turn on a mask by the
+  matrix Mobius map, and the real part of the result, which
+  ``cvforge.graphs.cluster_adjacency`` must reproduce on lattice states;
 * the physicality check on a complex graph Z;
 * the rotation-squeeze-rotation algebra of the teleportation gates, and
   the two-step composition run through ``extract_gate``;
@@ -18,11 +22,14 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
 from cvforge.gaussian import DimensionError, SymplecticOp, omega_matrix
-from cvforge.graphs import ComplexGraph, GraphError, HGraph
+from cvforge.graphs import GraphError, HGraph
+from cvforge.lattice import ModeId, ModeRegistry
 from cvforge.mbqc import MbqcError, MeasurementPlan, PlanStep, extract_gate
 from cvforge.tolerances import PHYSICS_TOL, STRUCTURAL_TOL
 
@@ -129,6 +136,139 @@ def _odd_cycle(parent: np.ndarray, u: int, v: int) -> list[int]:
         node = int(parent[node])
         path_v.append(node)
     return path_u[: seen[node] + 1][::-1] + path_v[:-1]
+
+
+@dataclass(frozen=True)
+class ComplexGraph:
+    """Symmetric complex matrix Z encoding a pure Gaussian state.
+
+    The state is the Gaussian wavefunction proportional to
+    ``exp(i/2 x^T Z x)``; physicality requires Im Z positive definite.
+    """
+
+    matrix: np.ndarray
+    registry: ModeRegistry
+
+    def __post_init__(self) -> None:
+        m = np.asarray(self.matrix, dtype=complex)
+        if m.shape != (self.registry.size, self.registry.size):
+            raise GraphError(
+                f"Z is {m.shape}, registry has {self.registry.size} modes"
+            )
+        object.__setattr__(self, "matrix", m)
+
+    def real_part(self) -> np.ndarray:
+        return self.matrix.real.copy()
+
+
+def z_from_state(state) -> ComplexGraph:
+    """Recover Z from a pure Gaussian state's covariance matrix.
+
+    With the covariance written in x-before-p block form, a pure state
+    has ``Im Z = (2 V_xx)^-1`` and ``Re Z = V_xx^-1 V_xp``, and the
+    covariance is pure exactly when those two are consistent with it:
+    ``Re Z`` is symmetric and ``V_pp = Im Z / 2 + Re Z V_xx Re Z``
+    (Menicucci, Flammia and van Loock, PRA 83, 042335 (2011)).  Times
+    ``V_xx``, these are the top block row of ``V Omega V = Omega / 4``:
+    ``V_xx V_xp^T - V_xp V_xx = 0`` and ``V_xx V_pp - V_xp V_xp = I/4``;
+    for one mode the second reads ``det V - 1/4 = nu^2 - 1/4``.  Both are
+    computed from V directly, without the solve's round-off, and held to
+    ``PHYSICS_TOL`` times the covariance's largest entry, the bound
+    ``GaussianState.is_pure`` puts on the symplectic spectrum.  That is
+    the purity test, so no eigensolve runs on success; the symplectic
+    spectrum is computed only to report a failure.
+    """
+    n = state.n_modes
+    cov = state.cov
+    xx = cov[:n, :n]
+    xp = cov[:n, n:]
+    pp = cov[n:, n:]
+    xp_xx = xp @ xx
+    asym = float(np.max(np.abs(xp_xx - xp_xx.T)))
+    resid = float(np.max(np.abs(xx @ pp - xp @ xp - np.eye(n) / 4)))
+    scale = max(1.0, float(np.max(np.abs(cov))))
+    if not (asym < PHYSICS_TOL * scale and resid < PHYSICS_TOL * scale):
+        nu = state.symplectic_eigenvalues()
+        raise GraphError(
+            f"state is not pure (largest symplectic eigenvalue {nu.max():.6g}; "
+            f"Re Z asymmetry {asym:.3e} and momentum block defect "
+            f"{resid:.3e} at scale {scale:.3e})"
+        )
+    try:
+        imag = np.linalg.inv(2.0 * xx)
+        real = np.linalg.solve(xx, xp)
+    except np.linalg.LinAlgError as exc:
+        raise GraphError(f"position block is singular: {exc}") from exc
+    real = (real + real.T) / 2
+    imag = (imag + imag.T) / 2
+    return ComplexGraph(real + 1j * imag, state.registry)
+
+
+def rotated_graph(z: ComplexGraph, mask: Iterable) -> ComplexGraph:
+    """Quarter-turn the masked modes in phase space and transform Z.
+
+    A phase-space rotation by pi/2 on a subset of modes acts on Z as the
+    matrix Mobius map ``Z' = (C + D Z)(A + B Z)^-1`` where A, B, C, D are
+    diagonal with entries (1, 0, 0, 1) on unmasked modes and (0, -1, 1, 0)
+    on masked ones.
+    """
+    registry = z.registry
+    masked = np.zeros(registry.size, dtype=bool)
+    for label in mask:
+        masked[registry.index_of(label)] = True
+    a = np.where(masked, 0.0, 1.0)
+    b = np.where(masked, -1.0, 0.0)
+    c = np.where(masked, 1.0, 0.0)
+    d = np.where(masked, 0.0, 1.0)
+    numer = np.diag(c) + d[:, None] * z.matrix
+    denom = np.diag(a) + b[:, None] * z.matrix
+    try:
+        out = np.linalg.solve(denom.T, numer.T).T
+    except np.linalg.LinAlgError as exc:
+        raise GraphError(f"rotation map is singular for this mask: {exc}") from exc
+    out = (out + out.T) / 2
+    return ComplexGraph(out, registry)
+
+
+def even_bin_mask(registry: ModeRegistry) -> list[ModeId]:
+    """Modes at even time bins: the canonical rotation mask.
+
+    After the final beamsplitter layer the nullifier structure pairs each
+    even bin with the following odd bin; rotating the even-bin half turns
+    the pair correlations into cluster edges.
+    """
+    return [m for m in registry if isinstance(m, ModeId) and m.time_bin % 2 == 0]
+
+
+def complex_cluster_adjacency(
+    z: ComplexGraph,
+    mask: Iterable | None = None,
+    hgraph: HGraph | None = None,
+) -> np.ndarray:
+    """Real cluster edge weights after rotating the masked modes.
+
+    The general complex route, kept as the differential reference for
+    ``cvforge.graphs.cluster_adjacency``.  ``mask`` defaults to all modes
+    at even time bins.  When ``hgraph`` is supplied, the mask is required
+    to be an independent set of it: a squeezing edge inside the mask
+    would mean the quarter turn acts on both ends of an interaction,
+    which is not the intended reading.
+    """
+    if mask is None:
+        mask_labels = even_bin_mask(z.registry)
+    else:
+        mask_labels = list(mask)
+    if hgraph is not None:
+        idx = [hgraph.registry.index_of(m) for m in mask_labels]
+        inside = hgraph.matrix[np.ix_(idx, idx)]
+        if np.count_nonzero(inside):
+            bad = np.argwhere(inside)[0]
+            a = mask_labels[int(bad[0])]
+            b = mask_labels[int(bad[1])]
+            raise GraphError(
+                f"rotation mask is not independent in the H-graph: {a} -- {b}"
+            )
+    return rotated_graph(z, mask_labels).real_part()
 
 
 def validate_complex_graph(z: ComplexGraph, tol: float = PHYSICS_TOL) -> None:

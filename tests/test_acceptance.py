@@ -22,7 +22,6 @@ from cvforge.graphs import (
     nullifiers_1d,
     nullifiers_3d,
     unit_cell_keys,
-    z_from_state,
 )
 from cvforge.lattice import AncillaId, ModeRegistry
 from cvforge.pipeline import (
@@ -39,6 +38,7 @@ from oracle import (
     full_matrix,
     verify_rsr_composition,
     z_from_hgraph,
+    z_from_state,
 )
 
 
@@ -143,7 +143,7 @@ def test_ac5_bilayer_families_and_weights():
     r = 3.5
     state, reg, trace = build(PipelineConfig.three_d(1, 6, r))
     laid_out = hgraph_from_trace(trace).permuted(delay_permutation(trace))
-    weights = cluster_adjacency(z_from_state(state), hgraph=laid_out)
+    weights = cluster_adjacency(state, laid_out)
     worst_w = 0.0
     n_edges = 0
     for i in range(reg.size):
@@ -202,7 +202,7 @@ def test_ac7_same_pump_disconnects_the_lattice():
     ):
         state, reg, trace = build(cfg)
         laid_out = hgraph_from_trace(trace).permuted(delay_permutation(trace))
-        weights = cluster_adjacency(z_from_state(state), hgraph=laid_out)
+        weights = cluster_adjacency(state, laid_out)
         comps = connected_components(
             weights, 1e-2, groups=unit_cell_keys(reg)
         )

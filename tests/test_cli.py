@@ -293,6 +293,34 @@ def test_mbqc_rejects_broken_plan(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+# --- non-finite numbers ---------------------------------------------------
+
+
+NAN_STEP = {"theta_a": 0.0, "theta_b": 1.0, "outcome": [math.nan, 0.0]}
+
+
+@pytest.mark.parametrize("config, argv, steps", [
+    ({**WIRE, "r": math.nan}, ["build"], None),
+    ({**WIRE, "r": math.inf}, ["build"], None),
+    ({**BILAYER, "r_p": math.nan}, ["build"], None),
+    (WIRE, ["sweep", "--r-max", "nan"], None),
+    (WIRE, ["sweep", "--r-min", "nan"], None),
+    (WIRE, ["sweep", "--r-max", "inf"], None),
+    (WIRE, ["mbqc"], [NAN_STEP]),
+], ids=["build-r-nan", "build-r-inf", "build-r_p-nan", "sweep-r-max-nan",
+        "sweep-r-min-nan", "sweep-r-max-inf", "mbqc-outcome-nan"])
+def test_non_finite_numbers_exit_one(tmp_path, capsys, config, argv, steps):
+    # JSON's NaN and Infinity parse as floats; they must not reach a build
+    # or an output file
+    out = tmp_path / "out"
+    argv = argv + ["--config", write_config(tmp_path, config), "--out", str(out)]
+    if steps is not None:
+        argv += ["--plan", write_plan(tmp_path, steps)]
+    assert main(argv) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 # --- graph ----------------------------------------------------------------
 
 

@@ -16,18 +16,16 @@ from cvforge.graphs import (
     HGraph,
     cluster_adjacency,
     connected_components,
-    even_bin_mask,
     frequency_triple,
     hgraph_from_trace,
     nullifiers_1d,
     nullifiers_3d,
-    rotated_graph,
     unit_cell_keys,
     write_adjacency_json,
     write_edge_csv,
-    z_from_state,
 )
-from cvforge.lattice import Field, ModeId, ModeRegistry, Nopa
+from cvforge.lattice import AncillaId, Field, ModeId, ModeRegistry, Nopa
+from cvforge.mbqc import macronode_map
 from cvforge.pipeline import (
     PipelineConfig,
     build,
@@ -39,8 +37,11 @@ from cvforge.tolerances import PHYSICS_TOL
 from oracle import (
     check_bipartite,
     check_self_inverse,
+    complex_cluster_adjacency,
+    rotated_graph,
     validate_complex_graph,
     z_from_hgraph,
+    z_from_state,
 )
 
 
@@ -301,21 +302,12 @@ def test_cluster_adjacency_weight_magnitude_is_half_tanh():
     cfg = PipelineConfig.one_d(1, 6, r)
     state, reg, trace = build_1d(cfg)
     laid_out = hgraph_from_trace(trace).permuted(delay_permutation(trace))
-    w = cluster_adjacency(z_from_state(state), hgraph=laid_out)
+    w = cluster_adjacency(state, laid_out)
     nz = np.abs(w[np.abs(w) > 1e-9])
     assert np.allclose(nz, math.tanh(2 * r) / 2, atol=1e-12)
     # each mode couples to its two neighboring sites' two slots
     degrees = np.count_nonzero(np.abs(w) > 1e-9, axis=1)
     assert set(degrees.tolist()) == {4}
-
-
-def test_cluster_adjacency_default_mask_is_even_bins():
-    r = 0.8
-    cfg = PipelineConfig.one_d(0, 4, r)
-    state, reg, trace = build_1d(cfg)
-    explicit = cluster_adjacency(z_from_state(state), mask=even_bin_mask(reg))
-    default = cluster_adjacency(z_from_state(state))
-    assert np.array_equal(explicit, default)
 
 
 def test_cluster_adjacency_rejects_dependent_mask():
@@ -324,7 +316,127 @@ def test_cluster_adjacency_rejects_dependent_mask():
     state, reg, trace = build_1d(cfg)
     raw = hgraph_from_trace(trace)  # emission labels: edges within a bin
     with pytest.raises(GraphError, match="independent"):
-        cluster_adjacency(z_from_state(state), hgraph=raw)
+        cluster_adjacency(state, raw)
+
+
+def laid_out_hgraph(trace):
+    """The build's squeezing graph in the lattice's final site labels."""
+    return hgraph_from_trace(trace).permuted(delay_permutation(trace))
+
+
+def _noisy(state):
+    return GaussianState(state.mean, state.cov + 1e-6 * np.eye(2 * state.n_modes),
+                         state.registry)
+
+
+def _marginalized(state):
+    return state.marginalize([state.registry.labels[1]])
+
+
+def _quarter_turned(state):
+    turned = state.copy()
+    turned.apply(phase_rotate(1, math.pi / 2))
+    # still pure: only the x-p independence the real route relies on is gone
+    validate_complex_graph(z_from_state(turned))
+    return turned
+
+
+def _xp_only(state):
+    # V_x and V_p untouched, so V_x V_p = I/4 still holds: only the
+    # correlation check can see this
+    n = state.n_modes
+    cov = state.cov.copy()
+    cov[:n, n:] += 1e-6
+    cov[n:, :n] += 1e-6
+    return GaussianState(state.mean, cov, state.registry)
+
+
+@pytest.mark.parametrize(
+    "spoil", [_noisy, _marginalized, _quarter_turned, _xp_only],
+    ids=["noise", "marginalized", "quarter_turn", "xp_only"],
+)
+@pytest.mark.parametrize(
+    "cfg",
+    [PipelineConfig.one_d(1, 4, 1.0), PipelineConfig.three_d(1, 4, 1.0)],
+    ids=["1d", "3d"],
+)
+def test_cluster_adjacency_rejects_spoiled_lattice(cfg, spoil):
+    state, _, trace = build(cfg)
+    with pytest.raises(GraphError, match="pure"):
+        cluster_adjacency(spoil(state), laid_out_hgraph(trace))
+
+
+def test_cluster_adjacency_needs_lattice_labels():
+    state, _, trace = build(PipelineConfig.one_d(0, 4, 0.5))
+    with pytest.raises(GraphError, match="non-lattice"):
+        cluster_adjacency(state.append_vacuum([AncillaId("probe")]),
+                          laid_out_hgraph(trace))
+
+
+def test_cluster_adjacency_runs_no_eigensolve(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigensolve in cluster_adjacency")
+
+    state, _, trace = build(PipelineConfig.three_d(1, 4, 1.0, r_p=0.6))
+    hgraph = laid_out_hgraph(trace)
+    monkeypatch.setattr(GaussianState, "symplectic_eigenvalues", refuse)
+    for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    assert np.count_nonzero(cluster_adjacency(state, hgraph)) > 0
+    with pytest.raises(GraphError, match="pure"):
+        cluster_adjacency(_noisy(state), hgraph)
+
+
+def differential_configs(rng):
+    """Pinned corner cases, then seeded random lattices, with a
+    macronode-map flag each."""
+    yield PipelineConfig.three_d(2, 6, 3.0, r_p=1.7), False
+    yield PipelineConfig.three_d(1, 4, 1.0, offsets=(0, 0), allow_same_pump=True), False
+    yield PipelineConfig.three_d(2, 8, 0.9, r_p=2.2, offsets=(2, -2)), False
+    yield PipelineConfig.three_d(1, 6, 3.0), True
+    yield PipelineConfig.one_d(2, 7, 1.1, r_p=0.4), False
+    yield PipelineConfig.one_d(1, 16, 0.0), False
+    for _ in range(24):
+        r = float(rng.uniform(0.0, 3.0))
+        r_p = float(rng.uniform(0.0, 3.0)) if rng.random() < 0.5 else None
+        mapped = bool(rng.random() < 0.25)
+        if rng.random() < 0.5:
+            cfg = PipelineConfig.one_d(
+                int(rng.integers(0, 3)), int(rng.integers(2, 17)), r, r_p
+            )
+        else:
+            offsets = [(1, -1), (2, -2), (1, 1), (0, 0)][int(rng.integers(4))]
+            cfg = PipelineConfig.three_d(
+                int(rng.integers(1, 3)), 2 * int(rng.integers(1, 9)), r, r_p,
+                offsets=offsets, allow_same_pump=offsets[0] == offsets[1],
+            )
+        yield cfg, mapped
+
+
+def test_cluster_adjacency_matches_complex_route():
+    rng = np.random.default_rng(29)
+    odd_rings = 0
+    for cfg, mapped in differential_configs(rng):
+        state, reg, trace = build(cfg)
+        if mapped:
+            state, _ = macronode_map(state)
+        hgraph = laid_out_hgraph(trace)
+        if cfg.kind == "1d" and cfg.n_bins % 2:
+            odd_rings += 1
+            with pytest.raises(GraphError, match="independent"):
+                cluster_adjacency(state, hgraph)
+            with pytest.raises(GraphError, match="independent"):
+                complex_cluster_adjacency(z_from_state(state), hgraph=hgraph)
+            continue
+        w = cluster_adjacency(state, hgraph)
+        ref = complex_cluster_adjacency(z_from_state(state), hgraph=hgraph)
+        assert np.all(np.abs(w - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref))), cfg
+        assert np.array_equal(np.abs(w) > 1e-9, np.abs(ref) > 1e-9), cfg
+        for groups in (None, unit_cell_keys(reg)):
+            assert connected_components(w, 1e-2, groups=groups) == (
+                connected_components(ref, 1e-2, groups=groups)
+            ), cfg
+    assert odd_rings >= 2
 
 
 def test_nullifiers_1d_structure():
@@ -443,7 +555,7 @@ def test_unit_cell_keys_pair_bins():
 def test_graph_exports_are_deterministic(tmp_path):
     cfg = PipelineConfig.one_d(0, 4, 0.7)
     state, reg, trace = build_1d(cfg)
-    w = cluster_adjacency(z_from_state(state))
+    w = cluster_adjacency(state, laid_out_hgraph(trace))
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     n1 = write_edge_csv(w, reg, p1)
     n2 = write_edge_csv(w, reg, p2)
@@ -499,8 +611,8 @@ def loop_write_adjacency_json(w, registry, path, threshold=1e-9):
     ids=["1d", "3d"],
 )
 def test_graph_exports_match_pairwise_loops(tmp_path, cfg):
-    state, reg, _ = build(cfg)
-    w = cluster_adjacency(z_from_state(state))
+    state, reg, trace = build(cfg)
+    w = cluster_adjacency(state, laid_out_hgraph(trace))
     new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
     count = write_edge_csv(w, reg, new)
     assert count == loop_write_edge_csv(w, reg, ref) > 0

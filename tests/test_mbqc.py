@@ -553,14 +553,15 @@ def test_distributed_basis_components(n_max):
     from cvforge.graphs import (
         cluster_adjacency,
         connected_components,
-        even_bin_mask,
-        z_from_state,
+        hgraph_from_trace,
     )
+    from cvforge.pipeline import delay_permutation
 
     r = 3.5
-    state, reg, _ = build(PipelineConfig.three_d(n_max, 6, r))
+    state, reg, trace = build(PipelineConfig.three_d(n_max, 6, r))
     mapped, _ = macronode_map(state)
-    weights = cluster_adjacency(z_from_state(mapped), mask=even_bin_mask(reg))
+    laid_out = hgraph_from_trace(trace).permuted(delay_permutation(trace))
+    weights = cluster_adjacency(mapped, laid_out)
     comps = connected_components(weights, threshold=1e-2)
     assert len(comps) == 12
     assert {len(c) for c in comps} == {4 * n_max + 2}

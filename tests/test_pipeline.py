@@ -20,8 +20,8 @@ from cvforge.pipeline import (
     passive_layer_matrix,
     replay,
     squeezing_db,
-    sweep,
 )
+from cvforge.verify import sweep
 from oracle import check_symplectic
 
 # frozen closed-form targets, rederived inline where used
@@ -239,7 +239,7 @@ def test_squeezing_db_conversion():
 
 def test_sweep_table_rows_and_csv(tmp_path):
     cfg = PipelineConfig.one_d(0, 4, 0.5)
-    table = sweep(cfg, [0.0, 0.5])
+    table, _ = sweep(cfg, [0.0, 0.5])
     # 2 r-points x (1 rail x 3 gaps x 2 families)
     assert len(table.rows) == 2 * 6
     r_vals = sorted({row[0] for row in table.rows})
